@@ -1,9 +1,11 @@
 """Isomorph-free exhaustive generation of small po-semirings.
 
 Fast mode enumerates bounded join-semilattice addition tables (labels
-restricted to linear extensions, which loses no isomorphism class), then
-backtracks over multiplication tables with incremental pruning.  A naive
-table-pair sweep serves as an independent oracle at small orders.
+restricted to linear extensions, which loses no isomorphism class), keeps one
+canonical lattice per isomorphism class, then backtracks over multiplication
+tables on each with incremental pruning; classes are keyed through the
+lattice's automorphisms.  A naive table-pair sweep serves as an independent
+oracle at small orders.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import DomainError, PoSemiringTable, make_table, verify_axioms
 
-FAST_CAP = 6
+FAST_CAP = 8
 NAIVE_CAP = 4
 
 
@@ -33,24 +35,27 @@ def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
 
 
-def canonical_form(A: PoSemiringTable) -> bytes:
-    """Minimal serialization of (add, mul) over all 0,1-fixing permutations."""
-    n = A.order
-    best = None
+def _fixing_perms(n: int):
+    """Permutations of 0..n-1 fixing 0 and n-1, each with its inverse."""
+    out = []
     for middle in itertools.permutations(range(1, n - 1)):
         perm = (0,) + middle + (n - 1,)
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        buf = bytearray()
-        for tab in (A.add, A.mul):
-            for x in range(n):
-                for y in range(n):
-                    buf.append(perm[tab[inv[x]][inv[y]]])
-        data = bytes(buf)
-        if best is None or data < best:
-            best = data
-    return best
+        out.append((perm, inv))
+    return out
+
+
+def _relabelled(tab, perm, inv) -> bytes:
+    n = len(tab)
+    return bytes(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+
+
+def canonical_form(A: PoSemiringTable) -> bytes:
+    """Minimal serialization of (add, mul) over all 0,1-fixing permutations."""
+    return min(_relabelled(A.add, perm, inv) + _relabelled(A.mul, perm, inv)
+               for perm, inv in _fixing_perms(A.order))
 
 
 def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
@@ -63,8 +68,7 @@ def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
 def automorphism_count(A: PoSemiringTable) -> int:
     n = A.order
     count = 0
-    for middle in itertools.permutations(range(1, n - 1)):
-        perm = (0,) + middle + (n - 1,)
+    for perm, _ in _fixing_perms(n):
         if all(perm[A.add[x][y]] == A.add[perm[x]][perm[y]]
                and perm[A.mul[x][y]] == A.mul[perm[x]][perm[y]]
                for x in range(n) for y in range(n)):
@@ -128,31 +132,41 @@ def _mul_backtrack(n: int, add):
     for x in range(n):
         mul[0][x] = mul[x][0] = 0
         mul[one][x] = mul[x][one] = x
-    cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
+    inner = range(1, one)
+    cells = [(x, y) for x in inner for y in range(x, one)]
 
     def partial_ok(cx, cy):
-        rng = range(n)
-        for x in rng:
-            for y in rng:
-                v = mul[x][y]
+        # Only triples reading cell (cx, cy) can newly fail, and each has a
+        # coordinate in {cx, cy}.  Triples with a 0 or 1 coordinate hold by
+        # absorption and identity, since every product is below its factors.
+        new = (cx,) if cx == cy else (cx, cy)
+        for x in inner:
+            row = mul[x]
+            x_new = x in new
+            for y in inner:
+                v = row[y]
                 if v is None:
                     continue
-                for z in rng:
+                row_v, row_y, add_y, add_v = mul[v], mul[y], add[y], add[v]
+                for z in (inner if x_new or y in new else new):
                     # associativity on filled triples
-                    if mul[v][z] is not None and mul[y][z] is not None \
-                            and mul[x][mul[y][z]] is not None \
-                            and mul[v][z] != mul[x][mul[y][z]]:
-                        return False
+                    yz = row_y[z]
+                    if yz is not None:
+                        left, right = row_v[z], row[yz]
+                        if left is not None and right is not None \
+                                and left != right:
+                            return False
                     # distributivity on filled triples
-                    w = mul[x][z]
-                    if w is not None and mul[x][add[y][z]] is not None \
-                            and mul[x][add[y][z]] != add[v][w]:
-                        return False
+                    w = row[z]
+                    if w is not None:
+                        left = row[add_y[z]]
+                        if left is not None and left != add_v[w]:
+                            return False
         return True
 
     def rec(k):
         if k == len(cells):
-            yield [row[:] for row in mul]
+            yield tuple(map(tuple, mul))
             return
         x, y = cells[k]
         for v in down[x]:
@@ -166,18 +180,60 @@ def _mul_backtrack(n: int, add):
     yield from rec(0)
 
 
+def _least_relabellings(tab, perms):
+    """Least serialization of tab over perms, and the perms that reach it.
+
+    0 is an identity or absorbing element of tab and n-1 an identity or top,
+    so their rows are the same under every perm.  The other rows are
+    compared as they are built, and most perms stop after one of them.
+    """
+    n = len(tab)
+    best, hits = None, []
+    for perm, inv in perms:
+        rows = []
+        tied = best is not None
+        for x in range(1, n - 1):
+            src = tab[inv[x]]
+            row = bytes([perm[src[inv[y]]] for y in range(n)])
+            if tied and row != best[x - 1]:
+                if row > best[x - 1]:
+                    break
+                tied = False
+            rows.append(row)
+        else:
+            if tied:
+                hits.append((perm, inv))
+            else:
+                best, hits = rows, [(perm, inv)]
+    return b"".join([bytes(tab[0]), *best, bytes(tab[-1])]), hits
+
+
 def _fast_census(n: int):
-    classes = {}
-    for add in _bounded_semilattices(n):
+    """Search multiplications once per lattice class, keyed through Aut(L).
+
+    Every isomorphism between tables on one lattice L is an automorphism of
+    L, so lattice_key + min over Aut(L) of the relabelled mul equals
+    canonical_form, and the automorphisms reaching that minimum are Aut(A).
+    """
+    perms = _fixing_perms(n)
+    lattice_keys = dict.fromkeys(_least_relabellings(add, perms)[0]
+                                 for add in _bounded_semilattices(n))
+    names = _generic_names(n)
+    classes = {}    # canonical key -> |Aut|
+    for lattice_key in lattice_keys:
+        add = tuple(tuple(lattice_key[x * n:(x + 1) * n]) for x in range(n))
+        lattice_aut = _least_relabellings(add, perms)[1]
         for mul in _mul_backtrack(n, add):
-            A = make_table(n, _generic_names(n), add, mul)
+            # well-formed by construction, so make_table's checks are skipped
+            A = PoSemiringTable(order=n, names=names, add=add, mul=mul)
             if not verify_axioms(A).valid:
                 continue
-            key = canonical_form(A)
+            mul_key, stabiliser = _least_relabellings(mul, lattice_aut)
+            key = lattice_key + mul_key
             if key not in classes:
-                classes[key] = table_from_canonical(n, key)
-    reps = [classes[k] for k in sorted(classes)]
-    labeled = sum(math.factorial(n - 2) // automorphism_count(A) for A in reps)
+                classes[key] = len(stabiliser)
+    reps = [table_from_canonical(n, k) for k in sorted(classes)]
+    labeled = sum(math.factorial(n - 2) // aut for aut in classes.values())
     return reps, labeled
 
 

@@ -34,14 +34,18 @@ class CliError(Exception):
     """Fatal usage or input problem; message goes to stderr, exit code 2."""
 
 
+def _read_psr(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_psr(fh.read())
+        except (StructureError, UnicodeDecodeError) as exc:
+            raise CliError(f"{path}: {exc}") from exc
+
+
 def _load_instance(arg: str):
     """A positional instance argument: a psr file path or a construction spec."""
     if os.path.exists(arg):
-        try:
-            with open(arg, encoding="utf-8") as fh:
-                return parse_psr(fh.read())
-        except StructureError as exc:
-            raise CliError(f"{arg}: {exc}") from exc
+        return _read_psr(arg)
     try:
         return cons.construct_from_text(arg)
     except (StructureError, DomainError) as exc:
@@ -213,15 +217,8 @@ def cmd_enumerate(args):
     return 0
 
 
-def _make_ring(spec: str):
-    try:
-        return ringlab.make_ring(spec)
-    except OSError as exc:
-        raise CliError(f"{spec}: {exc}") from exc
-
-
 def cmd_ring(args):
-    R = _make_ring(args.spec)
+    R = ringlab.make_ring(args.spec)
     if args.op == "ideals":
         ideals = ringlab.enumerate_ring_ideals(R)
         rows = [{"name": ringlab.ideal_name(R, i), "size": len(i.members),
@@ -277,16 +274,10 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
     if spec.startswith("files:"):
         directory = spec[len("files:"):]
         corpus = harness.Corpus()
-        try:
-            entries = sorted(os.listdir(directory))
-        except OSError as exc:
-            raise CliError(f"{directory}: {exc}") from exc
-        for entry in entries:
-            if not entry.endswith(".psr"):
-                continue
-            path = os.path.join(directory, entry)
-            with open(path, encoding="utf-8") as fh:
-                corpus.posemirings.append((entry, parse_psr(fh.read())))
+        for entry in sorted(os.listdir(directory)):
+            if entry.endswith(".psr"):
+                corpus.posemirings.append(
+                    (entry, _read_psr(os.path.join(directory, entry))))
         if not corpus.posemirings:
             raise CliError(f"{directory}: no .psr files found")
         return corpus
@@ -386,6 +377,12 @@ def main(argv=None) -> int:
     except (CliError, StructureError, DomainError, NotApplicableError,
             ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

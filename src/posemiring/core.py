@@ -203,10 +203,6 @@ def derived_checks(A: PoSemiringTable) -> tuple[tuple[str, tuple[int, ...]], ...
     return tuple(bad)
 
 
-def leq(A: PoSemiringTable, x: int, y: int) -> bool:
-    return A.leq(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Element analysis
 

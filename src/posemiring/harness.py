@@ -20,7 +20,6 @@ from .core import (
     StructureError,
     analyze_elements,
     check_conditions,
-    enumerate_ideals,
     find_isomorphism,
     is_idempotent,
     lower_ideal,
@@ -28,7 +27,7 @@ from .core import (
     primitive_decomposition,
     verify_axioms,
 )
-from .graphs import INF, classify_shape, graph_metrics
+from .graphs import classify_shape, graph_metrics
 
 
 def _pass():

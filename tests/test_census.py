@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import pytest
 
 from posemiring import constructions as cons
 from posemiring.census import (
+    _bounded_semilattices,
+    _generic_names,
+    _mul_backtrack,
     automorphism_count,
     canonical_form,
     enumerate_posemirings,
@@ -26,6 +30,12 @@ class TestCounts:
         assert got[3] == (2, 2)
         assert got[4] == (7, 13)
         assert got[5] == (26, 147)
+
+    def test_order_seven_pinned(self):
+        # 723 classes: commutative column of Belohlavek & Vychodil,
+        # "Residuated lattices of size <= 12", Order 27 (2010).
+        result = enumerate_posemirings(7)
+        assert (result.count_up_to_iso, result.count_labeled) == (723, 80415)
 
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
@@ -51,11 +61,37 @@ class TestCounts:
         with pytest.raises(DomainError):
             enumerate_posemirings(1)
         with pytest.raises(DomainError):
-            enumerate_posemirings(7, mode="fast")
+            enumerate_posemirings(9, mode="fast")
         with pytest.raises(DomainError):
             enumerate_posemirings(5, mode="naive")
         with pytest.raises(DomainError):
             enumerate_posemirings(3, mode="exhaustive")
+
+
+class TestMulSearch:
+    def test_yields_exactly_the_valid_multiplications(self):
+        # brute force over every symmetric interior assignment with each
+        # product below both factors, filtered by verify_axioms
+        for n in (3, 4, 5):
+            one = n - 1
+            cells = [(x, y) for x in range(1, one) for y in range(x, one)]
+            for add in _bounded_semilattices(n):
+                below = [[v for v in range(n)
+                          if add[v][x] == x and add[v][y] == y]
+                         for x, y in cells]
+                want = set()
+                for values in itertools.product(*below):
+                    mul = [[0] * n for _ in range(n)]
+                    for x in range(n):
+                        mul[one][x] = mul[x][one] = x
+                    for (x, y), v in zip(cells, values):
+                        mul[x][y] = mul[y][x] = v
+                    A = make_table(n, _generic_names(n), add, mul)
+                    if verify_axioms(A).valid:
+                        want.add(A.mul)
+                got = list(_mul_backtrack(n, add))
+                assert len(got) == len(set(got))
+                assert set(got) == want
 
 
 class TestCanonicalForm:
@@ -79,6 +115,15 @@ class TestCanonicalForm:
                 B = make_table(n, A.names, add, mul)
                 assert canonical_form(B) == canonical_form(A)
 
+    def test_representatives_are_canonical_and_sorted(self):
+        for n in range(2, 7):
+            keys = []
+            for A in enumerate_posemirings(n).instances:
+                key = canonical_form(A)
+                assert A == table_from_canonical(n, key)
+                keys.append(key)
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_separates_order_three_classes(self, census):
         keys = {canonical_form(A) for A in census[3].instances}
         assert len(keys) == 2
@@ -94,8 +139,7 @@ class TestAutomorphisms:
 
     def test_orbit_counting_consistency(self, census):
         # labeled count = sum over classes of (n-2)! / |Aut|
-        import math
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6):
             result = enumerate_posemirings(n)
             total = sum(math.factorial(n - 2) // automorphism_count(A)
                         for A in result.instances)

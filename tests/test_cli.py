@@ -42,6 +42,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and err.startswith("error:")
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.psr"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and err.startswith(f"error: {path}: ")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "trivial", "--json")
         assert code == 0
@@ -204,3 +210,36 @@ class TestTheorems:
         code, _, err = run(capsys, "theorems", "--corpus", "census:2",
                            "--check", "bogus")
         assert code == 2
+
+    def test_files_corpus_parse_error_names_file(self, tmp_path, capsys):
+        write_psr(tmp_path, "a_good.psr", cons.trivial())
+        (tmp_path / "b_bad.psr").write_text("psr 1\norder 2\n")
+        code, _, err = run(capsys, "theorems", "--corpus", f"files:{tmp_path}")
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'b_bad.psr'}: ")
+
+
+class TestUserPathErrors:
+    """An unusable path exits 2 with one line naming it, not a traceback."""
+
+    def check(self, capsys, path, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_emit_dir_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "out"
+        self.check(capsys, target, "enumerate", "3", "--emit-dir", str(target))
+
+    def test_construct_output_missing_dir(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.psr"
+        self.check(capsys, target, "construct", "trivial", "-o", str(target))
+
+    def test_graph_dot_missing_dir(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "g.dot"
+        self.check(capsys, target, "graph", "trivial", "--dot", str(target))
+
+    def test_verify_directory(self, tmp_path, capsys):
+        self.check(capsys, tmp_path, "verify", str(tmp_path))
