@@ -152,38 +152,31 @@ def cmd_graph(args):
     return _graph_output(args, A, cons.posemiring_zdgraph(A))
 
 
-def cmd_construct(args):
-    A = cons.construct_from_text(args.spec)
+def _write_psr(A, as_json: bool, output=None):
+    """Write A as psr text to `output` or stdout; JSON summary if asked."""
     text = to_text(A)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if args.json:
-            print(json.dumps({"order": A.order, "path": args.output},
+        if as_json:
+            print(json.dumps({"order": A.order, "path": output},
                              sort_keys=True))
-    elif args.json:
+    elif as_json:
         print(json.dumps({"order": A.order, "psr": text}, sort_keys=True))
     else:
         sys.stdout.write(text)
     return 0
 
 
+def cmd_construct(args):
+    return _write_psr(cons.construct_from_text(args.spec), args.json,
+                      args.output)
+
+
 def cmd_product(args):
     A = _load_instance(args.left)
     B = _load_instance(args.right)
-    P = cons.direct_product(A, B)
-    text = to_text(P)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.json:
-            print(json.dumps({"order": P.order, "path": args.output},
-                             sort_keys=True))
-    elif args.json:
-        print(json.dumps({"order": P.order, "psr": text}, sort_keys=True))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_psr(cons.direct_product(A, B), args.json, args.output)
 
 
 def cmd_iso(args):
@@ -220,21 +213,14 @@ def cmd_enumerate(args):
 def cmd_ring(args):
     R = ringlab.make_ring(args.spec)
     if args.op == "ideals":
-        ideals = ringlab.enumerate_ring_ideals(R)
         rows = [{"name": ringlab.ideal_name(R, i), "size": len(i.members),
-                 "members": sorted(i.members)} for i in ideals]
+                 "members": sorted(i.members)} for i in R.ideals]
         lines = [f"{r['name']} size={r['size']}" for r in rows]
         _emit({"count": len(rows), "ideals": rows}, args.json, lines)
         return 0
     if args.op == "semiring":
         table, _ = ringlab.ideal_semiring(R)
-        text = to_text(table)
-        if args.json:
-            print(json.dumps({"order": table.order, "psr": text},
-                             sort_keys=True))
-        else:
-            sys.stdout.write(text)
-        return 0
+        return _write_psr(table, args.json)
     if args.op == "ag":
         graph, _, table = ringlab.annihilating_ideal_graph(R)
         return _graph_output(args, table, graph)

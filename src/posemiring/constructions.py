@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .core import (
+    ORDER_CAP,
     ClosureError,
     DomainError,
     NotApplicableError,
@@ -23,6 +24,7 @@ from .core import (
     is_minimal_element,
     make_table,
     orthogonal_complement,
+    split_top_level,
     verify_axioms,
     zero_divisors,
     _lower_members,
@@ -41,6 +43,8 @@ class ConstructionSpec:
 
 def _table_from_ops(names, addf, mulf) -> PoSemiringTable:
     n = len(names)
+    if n > ORDER_CAP:
+        raise DomainError(f"order {n} exceeds cap {ORDER_CAP}")
     add = [[addf(x, y) for y in range(n)] for x in range(n)]
     mul = [[mulf(x, y) for y in range(n)] for x in range(n)]
     A = make_table(n, names, add, mul)
@@ -144,23 +148,15 @@ def example_4_7(k: int, pos: int) -> PoSemiringTable:
 
     def mul(x, y):
         x, y = min(x, y), max(x, y)
-        if x == 0:
-            return 0
+        if x == 0 or y in (c, u):
+            return 0          # Z(A)^2 = 0
         if y == one:
             return x
-        if x == c:
-            return c          # c * A1* = c; c^2 handled below
-        if x == u:
-            return 0 if y == u else c     # u^2 = 0, u * b_i = c
+        if x in (c, u):
+            return c          # c * b_i = u * b_i = c
         return b(1)           # b_i * b_j = b_1
-    # c^2 = cu = 0:
 
-    def mul2(x, y):
-        if {x, y} <= {c, u}:
-            return 0
-        return mul(x, y)
-
-    return _table_from_ops(names, add, mul2)
+    return _table_from_ops(names, add, mul)
 
 
 def direct_product(A: PoSemiringTable, B: PoSemiringTable) -> PoSemiringTable:
@@ -177,11 +173,11 @@ def direct_product(A: PoSemiringTable, B: PoSemiringTable) -> PoSemiringTable:
     return _table_from_ops(names, op(A.add, B.add), op(A.mul, B.mul))
 
 
-def boolean_power(n: int, cap: int = BOOLEAN_POWER_CAP) -> PoSemiringTable:
+def boolean_power(n: int) -> PoSemiringTable:
     if n < 1:
         raise DomainError("boolean power needs n >= 1")
-    if n > cap:
-        raise DomainError(f"boolean power {n} exceeds cap {cap}")
+    if n > BOOLEAN_POWER_CAP:
+        raise DomainError(f"boolean power {n} exceeds cap {BOOLEAN_POWER_CAP}")
     A = trivial()
     for _ in range(n - 1):
         A = direct_product(A, trivial())
@@ -516,7 +512,7 @@ def parse_spec(text: str) -> ConstructionSpec:
     m = re.fullmatch(r"(product|adjoin-z1|adjoin-z2i|adjoin-z2c)\((.*)\)", text)
     if m:
         kind, inner = m.group(1), m.group(2)
-        parts = _split_args(inner)
+        parts = split_top_level(inner)
         if kind == "product":
             if len(parts) != 2:
                 raise StructureError("product() takes two specs")
@@ -551,27 +547,15 @@ def parse_spec(text: str) -> ConstructionSpec:
     return ConstructionSpec(head, params)
 
 
-def _split_args(inner: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
 def _int_param(params, key):
+    """An integer parameter; none exceeds the order of the table it builds."""
     try:
-        return int(params[key])
+        value = int(params[key])
     except ValueError:
         raise StructureError(f"parameter {key} must be an integer") from None
+    if value > ORDER_CAP:
+        raise DomainError(f"parameter {key}={value} exceeds cap {ORDER_CAP}")
+    return value
 
 
 def construct(spec: ConstructionSpec) -> PoSemiringTable:

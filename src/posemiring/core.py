@@ -7,8 +7,11 @@ never stored: x <= y holds exactly when add[x][y] == y.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+
+#: largest table order: psr files, constructions, I(R) and sub-instances
+ORDER_CAP = 256
 
 
 class StructureError(ValueError):
@@ -72,8 +75,8 @@ class PoSemiringTable:
 
 def make_table(order, names, add, mul) -> PoSemiringTable:
     """Build a table instance, raising StructureError on malformed input."""
-    if order < 2:
-        raise StructureError(f"order must be >= 2, got {order}")
+    if not 2 <= order <= ORDER_CAP:
+        raise StructureError(f"order must be in [2, {ORDER_CAP}], got {order}")
     names = tuple(str(s) for s in names)
     if len(names) != order:
         raise StructureError(f"expected {order} names, got {len(names)}")
@@ -372,22 +375,26 @@ def ideal_closure(A: PoSemiringTable, seed) -> frozenset[int]:
         cur |= new
 
 
+def join_closure(seeds, join) -> list[frozenset[int]]:
+    """Close a set family under a binary join; sorted by (size, members)."""
+    family = set(seeds)
+    pending, done = list(family), []
+    while pending:
+        I = pending.pop()
+        for J in done:
+            K = join(I, J)
+            if K not in family:
+                family.add(K)
+                pending.append(K)
+        done.append(I)
+    return sorted(family, key=lambda m: (len(m), sorted(m)))
+
+
 def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
     """All ideals: principal ideals closed under pairwise ideal sum."""
-    family = {frozenset({0})}
-    for x in A.nonzero():
-        family.add(ideal_closure(A, {x}))
-    while True:
-        fresh = set()
-        for i_mem, j_mem in itertools.combinations(family, 2):
-            s = ideal_closure(A, i_mem | j_mem)
-            if s not in family:
-                fresh.add(s)
-        if not fresh:
-            break
-        family |= fresh
-    ordered = sorted(family, key=lambda m: (len(m), sorted(m)))
-    return [_flag_ideal(A, m) for m in ordered]
+    seeds = [ideal_closure(A, {x}) for x in A.elements()]
+    family = join_closure(seeds, lambda I, J: ideal_closure(A, I | J))
+    return [_flag_ideal(A, m) for m in family]
 
 
 # ---------------------------------------------------------------------------
@@ -594,52 +601,78 @@ def to_text(A: PoSemiringTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
-
-
 def parse_psr(text: str) -> PoSemiringTable:
-    lines = list(_content_lines(text))
-    pos = 0
+    values, names, add, mul = read_table_text(text, "psr 1", ("order",),
+                                              ORDER_CAP)
+    return make_table(values["order"], names, add, mul)
+
+
+def read_table_text(text: str, magic: str, keys, max_order: int) -> tuple:
+    """Read the layout shared by the psr and ring formats.
+
+    '#' starts a comment; blank lines are skipped.  The layout is the magic
+    line, one `key <int>` line per key (`order` among them), a `names`
+    line, then `add` and `mul` sections of `order` integer rows each.  An
+    order outside [2, max_order] is rejected before any row is read.
+    Returns (values, names, add, mul); shapes and ranges are the caller's.
+    """
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = iter([line for line in lines if line])
 
     def take(what):
-        nonlocal pos
-        if pos >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise StructureError(f"unexpected end of input, expected {what}")
-        line = lines[pos]
-        pos += 1
         return line
 
-    if take("magic") != "psr 1":
-        raise StructureError("missing 'psr 1' header")
-    order_line = take("order").split()
-    if len(order_line) != 2 or order_line[0] != "order":
-        raise StructureError("malformed order line")
-    try:
-        order = int(order_line[1])
-    except ValueError:
-        raise StructureError("order is not an integer") from None
-    names_line = take("names").split()
-    if names_line[:1] != ["names"]:
+    if take("magic") != magic:
+        raise StructureError(f"missing '{magic}' header")
+    values = {}
+    for key in keys:
+        parts = take(key).split()
+        if len(parts) != 2 or parts[0] != key:
+            raise StructureError(f"malformed {key} line")
+        try:
+            values[key] = int(parts[1])
+        except ValueError:
+            raise StructureError(f"{key} is not an integer") from None
+    order = values["order"]
+    if not 2 <= order <= max_order:
+        raise StructureError(f"order must be in [2, {max_order}], got {order}")
+    names = take("names").split()
+    if names[:1] != ["names"]:
         raise StructureError("malformed names line")
-    names = names_line[1:]
-
-    def table(label):
+    tables = []
+    for label in ("add", "mul"):
         if take(label) != label:
             raise StructureError(f"expected '{label}' section")
-        rows = []
-        for _ in range(order):
-            try:
-                rows.append([int(v) for v in take(f"{label} row").split()])
-            except ValueError:
-                raise StructureError(f"non-integer entry in {label} table") from None
-        return rows
+        try:
+            tables.append([[int(v) for v in take(f"{label} row").split()]
+                           for _ in range(order)])
+        except ValueError:
+            raise StructureError(f"non-integer entry in {label} table") from None
+    extra = next(lines, None)
+    if extra is not None:
+        raise StructureError(f"trailing garbage: {extra!r}")
+    return values, names[1:], tables[0], tables[1]
 
-    add = table("add")
-    mul = table("mul")
-    if pos != len(lines):
-        raise StructureError(f"trailing garbage: {lines[pos]!r}")
-    return make_table(order, names, add, mul)
+
+def split_top_level(inner: str) -> list[str]:
+    """Split a spec's argument text at commas outside brackets.
+
+    Every nesting level of a spec adds at least one element, so text nested
+    deeper than ORDER_CAP is rejected here, before any recursion on it.
+    """
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+            if depth > ORDER_CAP:
+                raise StructureError(f"spec nested deeper than {ORDER_CAP}")
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i].strip())
+            start = i + 1
+    parts.append(inner[start:].strip())
+    return parts

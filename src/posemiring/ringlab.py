@@ -5,8 +5,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import DomainError, PoSemiringTable, StructureError, make_table, verify_axioms
+from .core import (
+    DomainError,
+    PoSemiringTable,
+    StructureError,
+    _check_matrix,
+    join_closure,
+    make_table,
+    read_table_text,
+    split_top_level,
+    verify_axioms,
+)
 from .graphs import GraphShape, ZdGraph, build_zdgraph, classify_shape
 
 RING_ORDER_CAP = 512
@@ -24,6 +35,11 @@ class FiniteRing:
 
     def elements(self):
         return range(self.order)
+
+    @cached_property
+    def ideals(self) -> tuple[Ideal, ...]:
+        """All ideals, enumerated once; every ideal query reads this."""
+        return enumerate_ring_ideals(self)
 
     def __repr__(self):
         return f"FiniteRing(order={self.order})"
@@ -80,7 +96,7 @@ def _is_prime(p: int) -> bool:
 
 def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
     """Z_p[x]/(x^2 + c1*x + c0); element a + b*x is index a*p + b."""
-    if not _is_prime(p) or p > ZPX_PRIME_CAP:
+    if p > ZPX_PRIME_CAP or not _is_prime(p):
         raise DomainError(f"zpx modulus must be a prime <= {ZPX_PRIME_CAP}")
     c1, c0 = c1 % p, c0 % p
     n = p * p
@@ -125,57 +141,15 @@ def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
 
 
 def parse_ring_file(text: str) -> FiniteRing:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(lines):
-            raise StructureError(f"unexpected end of input, expected {what}")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if take("magic") != "ring 1":
-        raise StructureError("missing 'ring 1' header")
-    order = _keyed_int(take("order"), "order")
-    one = _keyed_int(take("one"), "one")
-    names_line = take("names").split()
-    if names_line[:1] != ["names"] or len(names_line) != order + 1:
+    values, names, add, mul = read_table_text(text, "ring 1", ("order", "one"),
+                                              RING_ORDER_CAP)
+    order, one = values["order"], values["one"]
+    if len(names) != order:
         raise StructureError("malformed names line")
-
-    def table(label):
-        if take(label) != label:
-            raise StructureError(f"expected '{label}' section")
-        rows = []
-        for _ in range(order):
-            try:
-                row = [int(v) for v in take(f"{label} row").split()]
-            except ValueError:
-                raise StructureError(f"non-integer entry in {label}") from None
-            if len(row) != order or any(not 0 <= v < order for v in row):
-                raise StructureError(f"bad {label} row")
-            rows.append(row)
-        return rows
-
-    add = table("add")
-    mul = table("mul")
-    if pos != len(lines):
-        raise StructureError(f"trailing garbage: {lines[pos]!r}")
     if not 0 <= one < order:
         raise StructureError("identity index out of range")
-    return _make_ring(order, names_line[1:], add, mul, one=one)
-
-
-def _keyed_int(line, key):
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
-        raise StructureError(f"malformed {key} line")
-    try:
-        return int(parts[1])
-    except ValueError:
-        raise StructureError(f"{key} is not an integer") from None
+    return _make_ring(order, names, _check_matrix(add, order, "add"),
+                      _check_matrix(mul, order, "mul"), one=one)
 
 
 def ring_to_text(R: FiniteRing) -> str:
@@ -192,17 +166,11 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
     spec = spec.strip()
     m = re.fullmatch(r"prod\((.*)\)", spec)
     if m:
-        depth = 0
-        for i, ch in enumerate(m.group(1)):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                left, right = m.group(1)[:i], m.group(1)[i + 1:]
-                return ring_product(make_ring(left, read_file),
-                                    make_ring(right, read_file))
-        raise StructureError("prod() takes two specs")
+        parts = split_top_level(m.group(1))
+        if len(parts) != 2:
+            raise StructureError("prod() takes two specs")
+        return ring_product(make_ring(parts[0], read_file),
+                            make_ring(parts[1], read_file))
     if spec.startswith("zn:"):
         try:
             return ring_zn(int(spec[3:]))
@@ -240,37 +208,20 @@ def ideal_sum(R: FiniteRing, I, J) -> frozenset[int]:
     return frozenset(R.add[i][j] for i in I for j in J)
 
 
-def ideal_product(R: FiniteRing, I, J) -> frozenset[int]:
-    prods = {R.mul[i][j] for i in I for j in J} | {0}
-    while True:
-        more = {R.add[a][b] for a in prods for b in prods} - prods
-        if not more:
-            return frozenset(prods)
-        prods |= more
+def enumerate_ring_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
+    """All ideals by (size, members): principal ideals closed under sums.
 
-
-def enumerate_ring_ideals(R: FiniteRing) -> list[Ideal]:
-    """All ideals: principal ideals closed under pairwise sums."""
+    Each ideal records its least generator when it is principal.  Callers
+    read the cached ``R.ideals`` instead of calling this again.
+    """
     if R.order > RING_ORDER_CAP:
         raise DomainError(f"ring order {R.order} exceeds cap {RING_ORDER_CAP}")
-    family = {principal_ideal(R, a) for a in R.elements()}
-    while True:
-        fresh = set()
-        fam = list(family)
-        for i, I in enumerate(fam):
-            for J in fam[i + 1:]:
-                s = ideal_sum(R, I, J)
-                if s not in family:
-                    fresh.add(s)
-        if not fresh:
-            break
-        family |= fresh
-    ordered = sorted(family, key=lambda m: (len(m), sorted(m)))
-    out = []
-    for mem in ordered:
-        gens = tuple(a for a in sorted(mem) if principal_ideal(R, a) == mem)
-        out.append(Ideal(members=mem, generators=gens[:1]))
-    return out
+    generator = {}
+    for a in reversed(R.elements()):
+        generator[principal_ideal(R, a)] = a
+    family = join_closure(generator, lambda I, J: ideal_sum(R, I, J))
+    return tuple(Ideal(members=m, generators=(generator[m],) if m in generator
+                       else ()) for m in family)
 
 
 def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
@@ -279,31 +230,34 @@ def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
     return "{" + ",".join(R.names[x] for x in sorted(ideal.members)) + "}"
 
 
-def ideal_semiring(R: FiniteRing, cap: int = IDEAL_COUNT_CAP):
+def ideal_semiring(R: FiniteRing):
     """The po-semiring I(R): ideal sum, ideal product, ordered by inclusion.
 
+    I + J and IJ are the least ideals containing I | J and all products ij.
     Returns (table, ideals) with ideals[i] the ideal at table index i.
     """
-    ideals = enumerate_ring_ideals(R)
+    ideals = R.ideals
     k = len(ideals)
-    if k > cap:
-        raise DomainError(f"{k} ideals exceed cap {cap}")
-    index = {i.members: pos for pos, i in enumerate(ideals)}
+    if k > IDEAL_COUNT_CAP:
+        raise DomainError(f"{k} ideals exceed cap {IDEAL_COUNT_CAP}")
     names = []
     for ideal in ideals:
         nm = ideal_name(R, ideal)
         while nm in names:
             nm += "'"
         names.append(nm)
-    add = [[index[ideal_sum(R, a.members, b.members)] for b in ideals]
-           for a in ideals]
-    mul = [[index[ideal_product(R, a.members, b.members)] for b in ideals]
-           for a in ideals]
+
+    def least(elems):       # ideals ascend by size: the first is the least
+        return next(pos for pos, i in enumerate(ideals) if elems <= i.members)
+
+    add = [[least(a.members | b.members) for b in ideals] for a in ideals]
+    mul = [[least({R.mul[x][y] for x in a.members for y in b.members})
+            for b in ideals] for a in ideals]
     table = make_table(k, names, add, mul)
     report = verify_axioms(table)
     if not report.valid:
         raise StructureError(f"I(R) fails the axioms: {report.violations[0]}")
-    return table, tuple(ideals)
+    return table, ideals
 
 
 def annihilating_ideal_graph(R: FiniteRing) -> tuple[ZdGraph, GraphShape, PoSemiringTable]:
@@ -341,8 +295,7 @@ def nilpotents(R: FiniteRing) -> frozenset[int]:
 
 
 def maximal_ideals(R: FiniteRing) -> list[Ideal]:
-    ideals = enumerate_ring_ideals(R)
-    proper = [i for i in ideals if len(i.members) < R.order]
+    proper = [i for i in R.ideals if len(i.members) < R.order]
     return [i for i in proper
             if not any(i.members < j.members for j in proper)]
 
@@ -351,12 +304,8 @@ def radicals(R: FiniteRing) -> RadicalReport:
     nil = nilpotents(R)
     jac = frozenset.intersection(*(m.members for m in maximal_ideals(R)))
     idem = frozenset(x for x in R.elements() if R.mul[x][x] == x)
-
-    def as_ideal(mem):
-        gens = tuple(a for a in sorted(mem) if principal_ideal(R, a) == mem)
-        return Ideal(members=mem, generators=gens[:1])
-
-    return RadicalReport(nilradical=as_ideal(nil), jacobson=as_ideal(jac),
+    ideal = {i.members: i for i in R.ideals}       # N and J are ideals of R
+    return RadicalReport(nilradical=ideal[nil], jacobson=ideal[jac],
                          idempotents=idem)
 
 

@@ -1,0 +1,41 @@
+"""Every name the benchmark traces must resolve in the modules it names.
+
+perfbench/spans.py wraps these functions from outside the package and
+records a missing one as absent, which would silently zero its metric.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+TRACED = sorted({(key, attr) for _, attr, keys in spans.CALLS for key in keys}
+                | {(key, attr) for _, attr, key in spans.GENERATORS})
+
+
+@pytest.mark.parametrize("key,attr", TRACED,
+                         ids=[f"{key}.{attr}" for key, attr in TRACED])
+def test_traced_name_resolves(key, attr):
+    module = importlib.import_module(f"posemiring.{key}")
+    assert callable(getattr(module, attr, None))
+
+
+def test_catalog_is_a_list_of_checks():
+    from posemiring import harness
+
+    assert isinstance(harness.CATALOG, list)
+    assert all(callable(check.fn) for check in harness.CATALOG)

@@ -243,3 +243,48 @@ class TestUserPathErrors:
 
     def test_verify_directory(self, tmp_path, capsys):
         self.check(capsys, tmp_path, "verify", str(tmp_path))
+
+
+class TestBoundedInputs:
+    """Over-deep or over-large specs and files exit 2 with one line."""
+
+    def check(self, capsys, *argv, prefix="error: "):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(prefix) and err.count("\n") == 1
+        return err
+
+    def test_deep_construction_spec(self, capsys):
+        spec = "adjoin-z1(" * 1200 + "trivial" + ")" * 1200
+        self.check(capsys, "construct", spec)
+
+    def test_deep_ring_spec(self, capsys):
+        spec = "prod(" * 1200 + "zn:2" + ",zn:2)" * 1200
+        self.check(capsys, "ring", "ideals", spec)
+
+    def test_over_cap_construction(self, capsys):
+        err = self.check(capsys, "construct", "product(bool:n=5,bool:n=5)")
+        assert "1024" in err
+
+    def test_over_cap_parameter(self, capsys):
+        self.check(capsys, "construct", "chain:k=100000000")
+
+    def test_over_cap_psr_file(self, tmp_path, capsys):
+        n = 257
+        rows = [" ".join(["0"] * n)] * n
+        path = tmp_path / "big.psr"
+        path.write_text("\n".join(
+            ["psr 1", f"order {n}", "names " + " ".join(map(str, range(n))),
+             "add", *rows, "mul", *rows]) + "\n")
+        self.check(capsys, "verify", str(path), prefix=f"error: {path}: ")
+
+
+def test_ring_radicals_enumerates_ideals_once(monkeypatch, capsys):
+    from posemiring import ringlab
+
+    calls = []
+    enumerate_ring_ideals = ringlab.enumerate_ring_ideals
+    monkeypatch.setattr(ringlab, "enumerate_ring_ideals",
+                        lambda R: calls.append(R) or enumerate_ring_ideals(R))
+    code, _, _ = run(capsys, "ring", "radicals", "zn:12")
+    assert code == 0 and len(calls) == 1

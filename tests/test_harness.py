@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -185,3 +186,42 @@ class TestCorpusBuilders:
         assert "zpx:5:4:4" in ids
         assert any(iid.startswith("prod(") for iid in ids)
         assert len(ids) == len(set(ids))
+
+
+class TestRingCorollaries:
+    """C2.5 and C2.8 run T2.3 and P2.1a + T2.7 on I(R)."""
+
+    def test_not_applicable_on_ideal_semiring_is_a_failure(self):
+        # 0 < a < 1 with a idempotent: (C2) fails, which Prop 1.2 rules out
+        # for any I(R), so the corollaries must report it instead of n/a
+        A = make_table(3, ("0", "a", "1"),
+                       [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+                       [[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+        rctx = SimpleNamespace(ctx=harness.Ctx(A))
+        assert not rctx.ctx.cond.c2
+        for chk in (harness.chk_c25, harness.chk_c28):
+            res = chk(rctx)
+            assert res.status == "fail" and "(C2)" in res.witness
+
+    def test_maximal_elements_of_ideal_semiring_are_maximal_ideals(self):
+        for iid, R in harness.default_ring_corpus(max_zn=24):
+            rctx = harness.RingCtx(R)
+            table, ideals = ringlab.ideal_semiring(R)
+            maximal = {ideals[m].members for m in rctx.ctx.ana.maximals}
+            assert maximal == {m.members for m in rctx.maximal_ideals}, iid
+
+    def test_one_ideal_enumeration_per_ring(self, monkeypatch):
+        calls = []
+        enumerate_ring_ideals = ringlab.enumerate_ring_ideals
+
+        def counting(R):
+            calls.append(R)
+            return enumerate_ring_ideals(R)
+
+        monkeypatch.setattr(ringlab, "enumerate_ring_ideals", counting)
+        specs = ("zn:12", "zn:13", "zpx:3:0:1", "prod(zn:2,zn:4)")
+        corpus = harness.Corpus(
+            rings=[(spec, ringlab.make_ring(spec)) for spec in specs])
+        report = harness.run_catalog(corpus)
+        assert not report.failures
+        assert len(calls) == len(specs)

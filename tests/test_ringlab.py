@@ -216,3 +216,43 @@ class TestElementAnalysisOnIdealSemiring:
         # (6) is the annihilator-graph center: adjacent to everything nontrivial
         graph, shape, _ = ringlab.annihilating_ideal_graph(R)
         assert shape.tag == "two-star"
+
+
+class TestIdealCache:
+    def test_ideals_enumerated_once_and_immutable(self, monkeypatch):
+        calls = []
+        enumerate_ring_ideals = ringlab.enumerate_ring_ideals
+        monkeypatch.setattr(
+            ringlab, "enumerate_ring_ideals",
+            lambda R: calls.append(R) or enumerate_ring_ideals(R))
+        R = ringlab.ring_zn(12)
+        ringlab.ideal_semiring(R)
+        ringlab.radicals(R)
+        ringlab.is_local(R)
+        ringlab.maximal_ideals(R)
+        assert calls == [R]
+        assert isinstance(R.ideals, tuple)
+
+    def test_principal_ideals_name_their_least_generator(self):
+        R = ringlab.ring_zn(12)
+        assert [i.generators for i in R.ideals] == [(0,), (6,), (4,), (3,),
+                                                    (2,), (1,)]
+
+
+class TestRingFileBounds:
+    def test_order_cap(self):
+        text = ringlab.ring_to_text(ringlab.ring_zn(2)).replace(
+            "order 2", f"order {ringlab.RING_ORDER_CAP + 1}")
+        with pytest.raises(StructureError, match="order must be in"):
+            ringlab.parse_ring_file(text)
+
+    def test_zero_ring_rejected(self):
+        text = "ring 1\norder 1\none 0\nnames 0\nadd\n0\nmul\n0\n"
+        with pytest.raises(StructureError, match="order must be in"):
+            ringlab.parse_ring_file(text)
+
+    def test_bad_row_rejected(self):
+        text = ringlab.ring_to_text(ringlab.ring_zn(2)).replace(
+            "add\n0 1\n", "add\n0 2\n")
+        with pytest.raises(StructureError, match="add"):
+            ringlab.parse_ring_file(text)
