@@ -241,9 +241,12 @@ def is_prime_element(A: PoSemiringTable, p: int) -> bool:
     """p != 1 and xy <= p implies x <= p or y <= p."""
     if p == A.one:
         return False
-    for x in A.elements():
-        for y in A.elements():
-            if A.leq(A.mul[x][y], p) and not (A.leq(x, p) or A.leq(y, p)):
+    add = A.add
+    outside = [x for x in A.elements() if add[x][p] != p]
+    for x in outside:
+        row = A.mul[x]
+        for y in outside:
+            if add[row[y]][p] == p:
                 return False
     return True
 
@@ -334,13 +337,18 @@ def _lower_members(A: PoSemiringTable, u: int) -> frozenset[int]:
     return frozenset(x for x in A.elements() if A.leq(x, u))
 
 
+def is_prime_ideal(A: PoSemiringTable, members: frozenset[int]) -> bool:
+    """members is proper and xy in members implies x or y in members."""
+    outside = [x for x in A.elements() if x not in members]
+    if not outside:
+        return False
+    return not any(A.mul[x][y] in members for x in outside for y in outside)
+
+
 def _flag_ideal(A: PoSemiringTable, members: frozenset[int]) -> IdealSubset:
     hereditary = all(x in members
                      for u in members for x in A.elements() if A.leq(x, u))
-    whole = frozenset(A.elements())
-    prime = members != whole and all(
-        not (A.mul[x][y] in members and x not in members and y not in members)
-        for x in A.elements() for y in A.elements())
+    prime = is_prime_ideal(A, members)
     princ_ann = any(_annihilator_members(A, u) == members for u in A.elements())
     lower_gen = None
     for u in sorted(members):
@@ -485,6 +493,12 @@ def primitive_decomposition(A: PoSemiringTable, e: int) -> tuple[int, ...]:
         raise DomainError(f"element {e} is not a nonzero idempotent")
     if not check_conditions(A).c2:
         raise NotApplicableError("condition (C2) does not hold")
+    return _primitive_parts(A, e)
+
+
+def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
+    """primitive_decomposition without its checks, for callers that know
+    e is a nonzero idempotent and that (C2) holds."""
 
     def split(x):
         for w in A.nonzero():
@@ -544,8 +558,9 @@ def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
     if A.order != B.order:
         return None
     n = A.order
-    inv_a = [_invariant_vector(A, analyze_elements(A), x) for x in range(n)]
-    inv_b = [_invariant_vector(B, analyze_elements(B), x) for x in range(n)]
+    ana_a, ana_b = analyze_elements(A), analyze_elements(B)
+    inv_a = [_invariant_vector(A, ana_a, x) for x in range(n)]
+    inv_b = [_invariant_vector(B, ana_b, x) for x in range(n)]
     if sorted(inv_a) != sorted(inv_b):
         return None
 

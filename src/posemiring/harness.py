@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import constructions as cons
 from . import ringlab
@@ -18,13 +18,14 @@ from .core import (
     ClosureError,
     PoSemiringTable,
     StructureError,
+    _lower_members,
+    _primitive_parts,
     analyze_elements,
     check_conditions,
     find_isomorphism,
     is_idempotent,
-    lower_ideal,
+    is_prime_ideal,
     orthogonal_complement,
-    primitive_decomposition,
     verify_axioms,
 )
 from .graphs import classify_shape, graph_metrics
@@ -187,7 +188,7 @@ def chk_t23(ctx):
             return _fail(("no-complement", e))
         if e != A.one and e not in ctx.zset:
             return _fail(("not-zero-divisor", e))
-        parts = primitive_decomposition(A, e)
+        parts = _primitive_parts(A, e)
         total = 0
         for p in parts:
             if p not in ctx.ana.primitive_idempotents:
@@ -223,10 +224,10 @@ def chk_t29(ctx):
 
 def chk_p213(ctx):
     A = ctx.A
+    down = [_lower_members(A, u) for u in A.elements()]
     for u in A.elements():
-        lu = lower_ideal(A, u).members
         for v in A.elements():
-            if A.leq(u, v) != (lu <= lower_ideal(A, v).members):
+            if A.leq(u, v) != (down[u] <= down[v]):
                 return _fail((u, v))
     return _pass()
 
@@ -234,7 +235,7 @@ def chk_p213(ctx):
 def chk_p216(ctx):
     A = ctx.A
     for p in A.elements():
-        if (p in ctx.ana.primes) != lower_ideal(A, p).prime:
+        if (p in ctx.ana.primes) != is_prime_ideal(A, _lower_members(A, p)):
             return _fail(p)
     return _pass()
 
@@ -349,6 +350,18 @@ def chk_t35b(ctx):
     return _pass()
 
 
+@cache
+def _boolean_times_nil3():
+    """C3.8's comparison instance {0,1} x adjoin_z1({0,1}), built lazily."""
+    return cons.direct_product(cons.trivial(), cons.adjoin_z1(cons.trivial()))
+
+
+@cache
+def _boolean_square():
+    """C4.3's comparison instance {0,1}^2, built lazily."""
+    return cons.direct_product(cons.trivial(), cons.trivial())
+
+
 def chk_c38(ctx):
     if not ctx.cond.c1:
         return _na("condition (C1) does not hold")
@@ -359,9 +372,8 @@ def chk_c38(ctx):
               or (s.tag == "two-star" and s.params == (1, 1)))
         if not ok:
             return _fail(s.line())
-    nil3 = cons.adjoin_z1(cons.trivial())
     is_k4 = ctx.shape.tag == "two-star" and ctx.shape.params == (1, 1)
-    iso = find_isomorphism(ctx.A, cons.direct_product(cons.trivial(), nil3))
+    iso = find_isomorphism(ctx.A, _boolean_times_nil3())
     if is_k4 != (iso is not None):
         return _fail(("two-star-iff", is_k4, iso is not None))
     return _pass()
@@ -424,8 +436,7 @@ def chk_t42(ctx):
 def chk_c43(ctx):
     if not (ctx.cond.c3 and len(ctx.zset) == 2 and not _z_square_zero(ctx)):
         return _na("(C3), |Z(A)| = 2, Z(A)^2 != 0 required")
-    boolean_square = cons.direct_product(cons.trivial(), cons.trivial())
-    is_square = find_isomorphism(ctx.A, boolean_square) is not None
+    is_square = find_isomorphism(ctx.A, _boolean_square()) is not None
     try:
         dec = cons.recognize_small_z(ctx.A)
     except (ClosureError, StructureError) as exc:
@@ -460,9 +471,9 @@ def chk_p48(ctx):
     except StructureError as exc:
         return _fail(str(exc))
     a1 = peel.a1
+    minimals = analyze_elements(a1).minimals
     leftover = [x for x in a1.nonzero()
-                if is_idempotent(a1, x)
-                and x in analyze_elements(a1).minimals]
+                if is_idempotent(a1, x) and x in minimals]
     if leftover and a1.order > 2:
         return _fail(("residual idempotent minimal", leftover[0]))
     return _pass()

@@ -188,6 +188,13 @@ class TestTheorems:
         assert code == 0
         assert "fail=0" in out.splitlines()[-1]
 
+    def test_census6_verdict_counts(self, capsys):
+        code, out, _ = run(capsys, "theorems", "--corpus", "census:6",
+                           "--report", "json")
+        assert code == 0
+        assert json.loads(out)["counts"] == {
+            "pass": 2237, "not-applicable": 2433, "fail": 0}
+
     def test_check_selection(self, capsys):
         code, out, _ = run(capsys, "theorems", "--corpus", "census:2",
                            "--check", "P2.1a,P2.16", "--report", "json")

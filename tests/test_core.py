@@ -30,6 +30,7 @@ from posemiring.core import (
     zero_divisors,
 )
 from posemiring import constructions as cons
+from posemiring import core, harness, ringlab
 
 
 def chain3_nilpotent():
@@ -247,6 +248,65 @@ class TestIsomorphism:
         A = chain3_nilpotent()
         B = chain3_idempotent()
         assert find_isomorphism(A, B) is None
+
+    def test_analyses_each_side_once(self, monkeypatch):
+        calls = []
+        analyze = core.analyze_elements
+
+        def counting(A):
+            calls.append(A)
+            return analyze(A)
+
+        monkeypatch.setattr(core, "analyze_elements", counting)
+        A, B = cons.boolean_power(3), cons.chain_lattice(6)
+        assert find_isomorphism(A, A) is not None
+        assert calls == [A, A]
+        calls.clear()
+        assert find_isomorphism(A, B) is None
+        assert calls == [A, B]
+        calls.clear()
+        assert find_isomorphism(A, cons.boolean_power(2)) is None
+        assert calls == []
+
+
+def prime_element_oracle(A, p):
+    """The defining double loop: p != 1 and xy <= p implies x <= p or y <= p."""
+    if p == A.one:
+        return False
+    for x in A.elements():
+        for y in A.elements():
+            if A.leq(A.mul[x][y], p) and not (A.leq(x, p) or A.leq(y, p)):
+                return False
+    return True
+
+
+def prime_ideal_oracle(A, members):
+    """members != A and no x, y outside members with xy inside."""
+    whole = frozenset(A.elements())
+    return members != whole and all(
+        not (A.mul[x][y] in members and x not in members and y not in members)
+        for x in A.elements() for y in A.elements())
+
+
+class TestPrimeKernels:
+    """is_prime_element and is_prime_ideal against their definitions."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, census_instances):
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        rings = [ringlab.ideal_semiring(R)[0]
+                 for _, R in harness.default_ring_corpus()]
+        return list(census_instances) + grid + rings
+
+    def test_prime_element_matches_oracle(self, instances):
+        for A in instances:
+            for p in A.elements():
+                assert is_prime_element(A, p) == prime_element_oracle(A, p)
+
+    def test_prime_ideal_matches_oracle(self, instances):
+        for A in instances:
+            for ideal in enumerate_ideals(A):
+                assert ideal.prime == prime_ideal_oracle(A, ideal.members)
 
 
 class TestTextFormat:

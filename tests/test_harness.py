@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from posemiring import constructions as cons
-from posemiring import harness, ringlab
+from posemiring import core, harness, ringlab
 from posemiring.core import StructureError, make_table
 
 
@@ -81,6 +81,34 @@ class TestFiniteCaseAnnotation:
         (res,) = results_for(report, "T2.2")
         assert res.status == "pass"
         assert res.note == "finite-case"
+
+
+class TestSharedAnalysis:
+    def test_p48_analyses_peeled_base_once(self, monkeypatch,
+                                           census_instances):
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        ctxs = [harness.Ctx(A) for A in list(census_instances) + grid]
+        for ctx in ctxs:
+            ctx.ana, ctx.cond       # built before counting starts
+        calls = []
+        analyze = harness.analyze_elements
+
+        def counting(A):
+            calls.append(A)
+            return analyze(A)
+
+        monkeypatch.setattr(harness, "analyze_elements", counting)
+        peeled = 0
+        for ctx in ctxs:
+            calls.clear()
+            res = harness.chk_p48(ctx)
+            if res.status == "not-applicable":
+                assert calls == []
+            else:
+                assert res.status == "pass"
+                assert calls == [cons.peel_boolean(ctx.A).a1]
+                peeled += 1
+        assert peeled > 0
 
 
 class TestReports:
@@ -225,3 +253,18 @@ class TestRingCorollaries:
         report = harness.run_catalog(corpus)
         assert not report.failures
         assert len(calls) == len(specs)
+
+    def test_conditions_checked_once_per_ring(self, monkeypatch):
+        calls = []
+        check_conditions = core.check_conditions
+
+        def counting(A):
+            calls.append(A)
+            return check_conditions(A)
+
+        for module in (core, harness, cons):
+            monkeypatch.setattr(module, "check_conditions", counting)
+        rings = harness.default_ring_corpus()
+        report = harness.run_catalog(harness.Corpus(rings=rings))
+        assert not report.failures
+        assert len(calls) == len(rings)
