@@ -80,11 +80,11 @@ def automorphism_count(A: PoSemiringTable) -> int:
 # Fast mode
 
 
-def _bounded_semilattices(n: int):
-    """Yield join tables of lattices on 0..n-1 with bottom 0 and top n-1.
+def _linear_posets(n: int):
+    """Yield bounded posets on 0..n-1 whose indices form a linear extension.
 
-    Strict down-sets are built one element at a time; indices form a linear
-    extension of the order.
+    Each is the list of strict down-sets; 0 is the bottom and n-1 the top.
+    Strict down-sets are built one element at a time.
     """
 
     def downsets(below, i):
@@ -102,23 +102,34 @@ def _bounded_semilattices(n: int):
         for s in downsets(below, i):
             yield from rec(i + 1, below + [s])
 
-    def join_table(below):
-        leq = [[x == y or x in below[y] for y in range(n)] for x in range(n)]
-        add = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
-                least = [z for z in ubs if all(leq[z][w] for w in ubs)]
-                if not least:
-                    return None
-                add[x][y] = least[0]
-        return add
+    yield from rec(1, [frozenset()])
 
-    if n == 2:
-        yield [[0, 1], [1, 1]]
-        return
-    for below in rec(1, [frozenset()]):
-        tab = join_table(below)
+
+def _join_table(below):
+    """Join table of the poset with strict down-sets below, or None.
+
+    The upper bounds of x and y are up[x] & up[y]; they have a least
+    element z exactly when they equal up[z], so the join is a lookup.
+    """
+    n = len(below)
+    up = [1 << x for x in range(n)]
+    for y, strict in enumerate(below):
+        for x in strict:
+            up[x] |= 1 << y
+    least = {mask: z for z, mask in enumerate(up)}
+    add = []
+    for ux in up:
+        row = [least.get(ux & uy) for uy in up]
+        if None in row:
+            return None
+        add.append(row)
+    return add
+
+
+def _bounded_semilattices(n: int):
+    """Yield join tables of lattices on 0..n-1 with bottom 0 and top n-1."""
+    for below in _linear_posets(n):
+        tab = _join_table(below)
         if tab is not None:
             yield tab
 

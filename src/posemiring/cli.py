@@ -211,7 +211,10 @@ def cmd_enumerate(args):
 
 
 def cmd_ring(args):
-    R = ringlab.make_ring(args.spec)
+    try:
+        R = ringlab.make_ring(args.spec)
+    except (StructureError, DomainError) as exc:
+        raise CliError(f"{args.spec}: {exc}") from exc
     if args.op == "ideals":
         rows = [{"name": ringlab.ideal_name(R, i), "size": len(i.members),
                  "members": sorted(i.members)} for i in R.ideals]

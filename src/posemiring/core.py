@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-#: largest table order: psr files, constructions, I(R) and sub-instances
+#: largest table order: psr files, constructions, I(R), sub-instances and
+#: rings; every index then fits in a byte, which the table-law kernel needs
 ORDER_CAP = 256
 
 
@@ -124,33 +125,89 @@ AXIOM_IDS = (
 
 
 def verify_axioms(A: PoSemiringTable) -> AxiomReport:
-    """Check the reduced axiom list, reporting the first witness per axiom."""
-    n, add, mul, one = A.order, A.add, A.mul, A.one
-    violations = []
+    """Check the reduced axiom list, reporting the first witness per axiom.
 
-    def first(axiom, gen):
-        for w in gen:
-            violations.append((axiom, w))
-            return
+    A witness is the lexicographically least failing argument tuple.
+    """
+    n, one = A.order, A.one
+    add, mul = ByteTable(A.add), ByteTable(A.mul)
+    identity = bytes(range(n))
+    found = (
+        ("add-commutative", commutative_witness(add)),
+        ("add-associative", associative_witness(add)),
+        ("add-identity", row_witness(add.rows[0], identity)),
+        ("one-is-top", row_witness(add.rows[one], bytes([one]) * n)),
+        ("mul-commutative", commutative_witness(mul)),
+        ("mul-associative", associative_witness(mul)),
+        ("mul-identity", row_witness(mul.rows[one], identity)),
+        ("zero-absorbs", row_witness(mul.rows[0], bytes(n))),
+        ("distributive", distributive_witness(add, mul)),
+    )
+    violations = tuple((axiom, w) for axiom, w in found if w is not None)
+    return AxiomReport(valid=not violations, violations=violations)
 
-    first("add-commutative", ((x, y) for x in range(n) for y in range(n)
-                              if add[x][y] != add[y][x]))
-    first("add-associative", ((x, y, z) for x in range(n) for y in range(n)
-                              for z in range(n)
-                              if add[add[x][y]][z] != add[x][add[y][z]]))
-    first("add-identity", ((x,) for x in range(n) if add[0][x] != x))
-    first("one-is-top", ((x,) for x in range(n) if add[one][x] != one))
-    first("mul-commutative", ((x, y) for x in range(n) for y in range(n)
-                              if mul[x][y] != mul[y][x]))
-    first("mul-associative", ((x, y, z) for x in range(n) for y in range(n)
-                              for z in range(n)
-                              if mul[mul[x][y]][z] != mul[x][mul[y][z]]))
-    first("mul-identity", ((x,) for x in range(n) if mul[one][x] != x))
-    first("zero-absorbs", ((x,) for x in range(n) if mul[0][x] != 0))
-    first("distributive", ((x, y, z) for x in range(n) for y in range(n)
-                           for z in range(n)
-                           if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]))
-    return AxiomReport(valid=not violations, violations=tuple(violations))
+
+# Byte-row kernel for the table laws.  Every index is below ORDER_CAP = 256,
+# so a table row is a bytes object, and a row padded to 256 bytes is a
+# translation table: data.translate(maps[x]) looks every byte of data up in
+# row x in one C call.  A law builds both sides for all its argument tuples
+# in lexicographic order, so the first differing byte is the least witness.
+
+
+class ByteTable:
+    """An operation table as byte rows, their concatenation, and row maps."""
+
+    __slots__ = ("n", "rows", "flat", "maps")
+
+    def __init__(self, op):
+        self.rows = list(map(bytes, op))    # raises on an entry above 255
+        self.n = len(self.rows)
+        self.flat = b"".join(self.rows)
+        pad = bytes(256 - self.n)
+        self.maps = [row + pad for row in self.rows]
+
+
+def _first_difference(a: bytes, b: bytes) -> int | None:
+    """Index of the first byte where a and b (of equal length) differ."""
+    if a == b:
+        return None
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - 1 - (diff.bit_length() - 1) // 8
+
+
+def row_witness(row: bytes, expected: bytes):
+    """(x,) for the first x with row[x] != expected[x], or None."""
+    x = _first_difference(row, expected)
+    return None if x is None else (x,)
+
+
+def commutative_witness(t: ByteTable):
+    """Least (x, y) with xy != yx, or None."""
+    n, flat = t.n, t.flat
+    i = _first_difference(flat, b"".join([flat[y::n] for y in range(n)]))
+    return None if i is None else divmod(i, n)
+
+
+def _triple(i: int, n: int) -> tuple[int, int, int]:
+    x, yz = divmod(i, n * n)
+    return (x, *divmod(yz, n))
+
+
+def associative_witness(t: ByteTable):
+    """Least (x, y, z) with (xy)z != x(yz), or None."""
+    left = b"".join(map(t.rows.__getitem__, t.flat))
+    right = b"".join([t.flat.translate(m) for m in t.maps])
+    i = _first_difference(left, right)
+    return None if i is None else _triple(i, t.n)
+
+
+def distributive_witness(add: ByteTable, mul: ByteTable):
+    """Least (x, y, z) with x(y+z) != xy + xz, or None."""
+    left = b"".join([add.flat.translate(m) for m in mul.maps])
+    right = b"".join([row.translate(add.maps[v])
+                      for row in mul.rows for v in row])
+    i = _first_difference(left, right)
+    return None if i is None else _triple(i, add.n)
 
 
 def replay_violation(A: PoSemiringTable, axiom: str, witness: tuple[int, ...]) -> bool:

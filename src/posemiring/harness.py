@@ -16,6 +16,7 @@ from . import constructions as cons
 from . import ringlab
 from .core import (
     ClosureError,
+    NotApplicableError,
     PoSemiringTable,
     StructureError,
     _lower_members,
@@ -92,6 +93,20 @@ class Ctx:
     @cached_property
     def acyclic(self):
         return self.metrics.girth is None
+
+    @cached_property
+    def _small_z(self):
+        try:
+            return cons.recognize_small_z(self.A), None
+        except (ClosureError, StructureError, NotApplicableError) as exc:
+            return None, exc
+
+    def small_z(self):
+        """recognize_small_z(A), run once; an error it raised is re-raised."""
+        dec, exc = self._small_z
+        if exc is not None:
+            raise exc
+        return dec
 
 
 class RingCtx:
@@ -425,7 +440,7 @@ def chk_t42(ctx):
     if nz not in (1, 2) or (nz == 2 and _z_square_zero(ctx)):
         return _na("|Z(A)| not in {1, 2} with Z(A)^2 != 0")
     try:
-        dec = cons.recognize_small_z(ctx.A)
+        dec = ctx.small_z()
     except (ClosureError, StructureError) as exc:
         return _fail(str(exc))
     if analyze_elements(dec.a1).zero_divisors:
@@ -438,7 +453,7 @@ def chk_c43(ctx):
         return _na("(C3), |Z(A)| = 2, Z(A)^2 != 0 required")
     is_square = find_isomorphism(ctx.A, _boolean_square()) is not None
     try:
-        dec = cons.recognize_small_z(ctx.A)
+        dec = ctx.small_z()
     except (ClosureError, StructureError) as exc:
         return _fail(str(exc))
     if not (is_square or isinstance(dec, cons.Z2ChainDecomposition)):
@@ -452,7 +467,7 @@ def chk_p45(ctx):
     if not (len(ctx.zset) == 2 and _z_square_zero(ctx)):
         return _na("|Z(A)| = 2 with Z(A)^2 = 0 required")
     try:
-        rep = cons.recognize_small_z(ctx.A)
+        rep = ctx.small_z()
     except ClosureError as exc:
         return _fail(("closure", exc.witness))
     if not isinstance(rep, cons.Prop45Report):

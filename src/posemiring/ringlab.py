@@ -8,19 +8,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
+    ORDER_CAP,
+    ByteTable,
     DomainError,
     PoSemiringTable,
     StructureError,
     _check_matrix,
+    associative_witness,
+    commutative_witness,
+    distributive_witness,
     join_closure,
     make_table,
     read_table_text,
+    row_witness,
     split_top_level,
     verify_axioms,
 )
 from .graphs import GraphShape, ZdGraph, build_zdgraph, classify_shape
 
-RING_ORDER_CAP = 512
 IDEAL_COUNT_CAP = 64
 ZPX_PRIME_CAP = 13
 
@@ -52,24 +57,36 @@ class Ideal:
 
 
 def _check_ring(R: FiniteRing):
-    n, add, mul = R.order, R.add, R.mul
-    for x in range(n):
-        if add[0][x] != x:
-            raise StructureError("0 is not the additive identity")
-        if mul[R.one][x] != x:
-            raise StructureError("recorded identity is not multiplicative identity")
-        if not any(add[x][y] == 0 for y in range(n)):
-            raise StructureError(f"element {x} has no additive inverse")
-        for y in range(n):
-            if add[x][y] != add[y][x] or mul[x][y] != mul[y][x]:
-                raise StructureError("operations are not commutative")
-            for z in range(n):
-                if add[add[x][y]][z] != add[x][add[y][z]]:
-                    raise StructureError("addition is not associative")
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    raise StructureError("multiplication is not associative")
-                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                    raise StructureError("distributivity fails")
+    """Raise the message that one loop over x, then y, then z meets first.
+
+    The loop tests x's identities and inverse, then for each y the
+    commutativity at (x, y) before the triples (x, y, z).  Each law's least
+    witness comes from the byte-row kernel and is ranked by that place.
+    """
+    add, mul = ByteTable(R.add), ByteTable(R.mul)
+    identity = bytes(range(R.order))
+    failures = []       # (place in the loop, message)
+    if w := row_witness(add.rows[0], identity):
+        failures.append(((w[0], 0), "0 is not the additive identity"))
+    if w := row_witness(mul.rows[R.one], identity):
+        failures.append(((w[0], 1),
+                         "recorded identity is not multiplicative identity"))
+    x = next((x for x, row in enumerate(add.rows) if 0 not in row), None)
+    if x is not None:
+        failures.append(((x, 2), f"element {x} has no additive inverse"))
+    for w in (commutative_witness(add), commutative_witness(mul)):
+        if w:
+            failures.append(((w[0], 3, w[1], 0),
+                             "operations are not commutative"))
+    for k, (w, message) in enumerate((
+            (associative_witness(add), "addition is not associative"),
+            (associative_witness(mul), "multiplication is not associative"),
+            (distributive_witness(add, mul), "distributivity fails"))):
+        if w:
+            x, y, z = w
+            failures.append(((x, 3, y, 1, z, k), message))
+    if failures:
+        raise StructureError(min(failures)[1])
 
 
 def _make_ring(order, names, add, mul, one, check=True) -> FiniteRing:
@@ -82,8 +99,8 @@ def _make_ring(order, names, add, mul, one, check=True) -> FiniteRing:
 
 
 def ring_zn(n: int) -> FiniteRing:
-    if not 2 <= n <= RING_ORDER_CAP:
-        raise DomainError(f"zn order must be in [2, {RING_ORDER_CAP}]")
+    if not 2 <= n <= ORDER_CAP:
+        raise DomainError(f"zn order must be in [2, {ORDER_CAP}]")
     names = [str(i) for i in range(n)]
     add = [[(x + y) % n for y in range(n)] for x in range(n)]
     mul = [[(x * y) % n for y in range(n)] for x in range(n)]
@@ -128,8 +145,8 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
 def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     ns = S.order
     n = R.order * ns
-    if n > RING_ORDER_CAP:
-        raise DomainError(f"product order {n} exceeds cap {RING_ORDER_CAP}")
+    if n > ORDER_CAP:
+        raise DomainError(f"product order {n} exceeds cap {ORDER_CAP}")
     names = [f"({a},{b})" for a in R.names for b in S.names]
 
     def op(ta, tb):
@@ -142,7 +159,7 @@ def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
 
 def parse_ring_file(text: str) -> FiniteRing:
     values, names, add, mul = read_table_text(text, "ring 1", ("order", "one"),
-                                              RING_ORDER_CAP)
+                                              ORDER_CAP)
     order, one = values["order"], values["one"]
     if len(names) != order:
         raise StructureError("malformed names line")
@@ -173,9 +190,10 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
                             make_ring(parts[1], read_file))
     if spec.startswith("zn:"):
         try:
-            return ring_zn(int(spec[3:]))
+            n = int(spec[3:])
         except ValueError:
             raise StructureError(f"bad zn spec {spec!r}") from None
+        return ring_zn(n)
     if spec.startswith("zpx:"):
         parts = spec[4:].split(":")
         if len(parts) != 3:
@@ -214,8 +232,8 @@ def enumerate_ring_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     Each ideal records its least generator when it is principal.  Callers
     read the cached ``R.ideals`` instead of calling this again.
     """
-    if R.order > RING_ORDER_CAP:
-        raise DomainError(f"ring order {R.order} exceeds cap {RING_ORDER_CAP}")
+    if R.order > ORDER_CAP:
+        raise DomainError(f"ring order {R.order} exceeds cap {ORDER_CAP}")
     generator = {}
     for a in reversed(R.elements()):
         generator[principal_ideal(R, a)] = a

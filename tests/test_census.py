@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+import oracles
 from posemiring import constructions as cons
 from posemiring.census import (
     _bounded_semilattices,
     _generic_names,
+    _join_table,
+    _linear_posets,
     _mul_backtrack,
     automorphism_count,
     canonical_form,
@@ -66,6 +69,18 @@ class TestCounts:
             enumerate_posemirings(5, mode="naive")
         with pytest.raises(DomainError):
             enumerate_posemirings(3, mode="exhaustive")
+
+
+class TestLattices:
+    def test_join_table_equals_scan(self):
+        # every labelled poset, lattice or not, up to order 7 (320 lattices)
+        for n in range(2, 8):
+            lattices = 0
+            for below in _linear_posets(n):
+                got = _join_table(below)
+                assert got == oracles.join_table(below)
+                lattices += got is not None
+            assert lattices == {2: 1, 3: 1, 4: 2, 5: 7, 6: 39, 7: 320}[n]
 
 
 class TestMulSearch:

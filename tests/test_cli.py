@@ -285,6 +285,24 @@ class TestBoundedInputs:
              "add", *rows, "mul", *rows]) + "\n")
         self.check(capsys, "verify", str(path), prefix=f"error: {path}: ")
 
+    @pytest.mark.parametrize("spec", ["zn:257", "prod(zn:16,zn:17)"])
+    def test_over_cap_ring_spec(self, capsys, spec):
+        err = self.check(capsys, "ring", "ideals", spec,
+                         prefix=f"error: {spec}: ")
+        assert "cap 256" in err or "[2, 256]" in err
+
+    def test_over_cap_ring_file(self, tmp_path, capsys):
+        n = 257
+        rows = [" ".join(["0"] * n)] * n
+        path = tmp_path / "big.ring"
+        path.write_text("\n".join(
+            ["ring 1", f"order {n}", "one 1",
+             "names " + " ".join(map(str, range(n))),
+             "add", *rows, "mul", *rows]) + "\n")
+        err = self.check(capsys, "ring", "ideals", f"file:{path}",
+                         prefix=f"error: file:{path}: ")
+        assert "257" in err
+
 
 def test_ring_radicals_enumerates_ideals_once(monkeypatch, capsys):
     from posemiring import ringlab

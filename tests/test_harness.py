@@ -111,6 +111,52 @@ class TestSharedAnalysis:
         assert peeled > 0
 
 
+class TestSmallZOnce:
+    """T4.2, C4.3 and P4.5 share one recognize_small_z outcome per Ctx."""
+
+    def counting(self, monkeypatch, fn):
+        calls = []
+
+        def wrapped(A):
+            calls.append(A)
+            return fn(A)
+
+        monkeypatch.setattr(cons, "recognize_small_z", wrapped)
+        return calls
+
+    def test_once_per_instance(self, monkeypatch, census_instances):
+        calls = self.counting(monkeypatch, cons.recognize_small_z)
+        grid = harness.construction_grid().posemirings
+        corpus = harness.Corpus(posemirings=grid + [
+            (f"c{i}", A) for i, A in enumerate(census_instances)])
+        report = harness.run_catalog(corpus, check_ids=["T4.2", "C4.3",
+                                                        "P4.5"])
+        assert not report.failures
+        assert len(calls) == len({id(A) for A in calls}) > 0
+
+    @pytest.mark.parametrize("exc", [StructureError("rebuild differs"),
+                                     core.ClosureError((1, 2, "mul"))])
+    def test_raised_error_reaches_each_check(self, monkeypatch, exc):
+        def raising(A):
+            raise exc
+
+        calls = self.counting(monkeypatch, raising)
+        ctx = harness.Ctx(cons.boolean_power(2))   # T4.2 and C4.3 apply
+        for chk in (harness.chk_t42, harness.chk_c43):
+            assert chk(ctx) == harness.CheckResult("fail", witness=str(exc))
+        assert len(calls) == 1
+
+    def test_p45_keeps_its_closure_verdict(self, monkeypatch):
+        def raising(A):
+            raise core.ClosureError((1, 2, "mul"))
+
+        self.counting(monkeypatch, raising)
+        ctx = harness.Ctx(cons.example_4_6(1, "zero"))
+        assert len(ctx.zset) == 2
+        assert harness.chk_p45(ctx) == harness.CheckResult(
+            "fail", witness=("closure", (1, 2, "mul")))
+
+
 class TestReports:
     def test_deterministic_ordering(self):
         corpus = harness.Corpus()

@@ -1,14 +1,19 @@
 """Hypothesis properties of the text formats, the spec parsers and the
-axiom checker."""
+axiom checkers."""
+
+from functools import cache
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from posemiring import constructions as cons
-from posemiring import ringlab
+from posemiring import harness, ringlab
+from posemiring.census import enumerate_posemirings
 from posemiring.core import (
     DomainError,
     StructureError,
+    _first_difference,
     make_table,
     parse_psr,
     replay_violation,
@@ -97,3 +102,92 @@ def test_every_reported_violation_replays(A):
     assert report.valid == (not report.violations)
     for axiom, witness in report.violations:
         assert replay_violation(A, axiom, witness)
+
+
+# ---------------------------------------------------------------------------
+# The byte-row kernel against the triple loops in tests/oracles.py
+
+
+@FAST
+@given(st.binary(min_size=1, max_size=64), st.data())
+def test_first_difference_is_the_first_unequal_byte(a, data):
+    k = data.draw(st.integers(0, len(a)))
+    b = a[:k] + data.draw(st.binary(min_size=len(a) - k,
+                                    max_size=len(a) - k))
+    want = next((i for i in range(len(a)) if a[i] != b[i]), None)
+    assert _first_difference(a, b) == want
+    assert _first_difference(a, a) is None
+
+
+@cache
+def valid_tables():
+    """Census tables up to order 5 and the construction grid."""
+    census = [A for n in range(2, 6) for A in enumerate_posemirings(n).instances]
+    return census + [A for _, A in harness.construction_grid().posemirings]
+
+
+@st.composite
+def mutations(draw, order):
+    """1-3 cells (op, x, y, value) to overwrite in an order-n table pair."""
+    cell = st.tuples(st.sampled_from(("add", "mul")), st.integers(0, order - 1),
+                     st.integers(0, order - 1), st.integers(0, order - 1))
+    return draw(st.lists(cell, min_size=1, max_size=3))
+
+
+def mutated(ops, cells):
+    ops = {key: [list(row) for row in rows] for key, rows in ops.items()}
+    for key, x, y, v in cells:
+        ops[key][x][y] = v
+    return ops
+
+
+@st.composite
+def mutated_tables(draw):
+    A = draw(st.sampled_from(valid_tables()))
+    ops = mutated({"add": A.add, "mul": A.mul}, draw(mutations(A.order)))
+    return make_table(A.order, A.names, ops["add"], ops["mul"])
+
+
+@FAST
+@given(tables(max_order=12))
+def test_verify_axioms_matches_oracle_on_arbitrary_tables(A):
+    assert verify_axioms(A) == oracles.verify_axioms(A)
+
+
+@settings(FAST, max_examples=300)
+@given(mutated_tables())
+def test_verify_axioms_matches_oracle_on_mutated_tables(A):
+    assert verify_axioms(A) == oracles.verify_axioms(A)
+
+
+def test_verify_axioms_matches_oracle_on_valid_tables():
+    for A in valid_tables():
+        assert verify_axioms(A) == oracles.verify_axioms(A)
+
+
+ring_bases = st.one_of(
+    st.integers(2, 12).map(lambda n: f"zn:{n}"),
+    st.tuples(st.sampled_from((2, 3)), st.integers(0, 2), st.integers(0, 2))
+    .map(lambda t: "zpx:%d:%d:%d" % t))
+
+
+def ring_check_message(check, R):
+    try:
+        check(R)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+@settings(FAST, max_examples=300)
+@given(st.data())
+def test_check_ring_raises_oracle_message_on_mutated_rings(data):
+    R = ringlab.make_ring(data.draw(ring_bases))
+    ops = mutated({"add": R.add, "mul": R.mul},
+                  data.draw(mutations(R.order)))
+    one = data.draw(st.sampled_from((R.one, 0, R.order - 1)))
+    S = ringlab.FiniteRing(order=R.order, names=R.names,
+                           add=tuple(map(tuple, ops["add"])),
+                           mul=tuple(map(tuple, ops["mul"])), one=one)
+    assert ring_check_message(ringlab._check_ring, S) == \
+        ring_check_message(oracles.check_ring, S)

@@ -5,6 +5,7 @@ import pytest
 from posemiring import constructions as cons
 from posemiring import ringlab
 from posemiring.core import (
+    ORDER_CAP,
     DomainError,
     StructureError,
     analyze_elements,
@@ -41,6 +42,8 @@ class TestRingConstruction:
             ringlab.ring_zn(1)
         with pytest.raises(DomainError):
             ringlab.ring_zn(513)
+        with pytest.raises(DomainError):
+            ringlab.ring_zn(ORDER_CAP + 1)
 
     def test_quadratic_field(self):
         # x^2 + x + 1 is irreducible over Z_2: this is the field F_4
@@ -242,7 +245,7 @@ class TestIdealCache:
 class TestRingFileBounds:
     def test_order_cap(self):
         text = ringlab.ring_to_text(ringlab.ring_zn(2)).replace(
-            "order 2", f"order {ringlab.RING_ORDER_CAP + 1}")
+            "order 2", f"order {ORDER_CAP + 1}")
         with pytest.raises(StructureError, match="order must be in"):
             ringlab.parse_ring_file(text)
 
