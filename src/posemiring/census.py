@@ -37,25 +37,31 @@ def _generic_names(n: int) -> tuple[str, ...]:
 
 def _fixing_perms(n: int):
     """Permutations of 0..n-1 fixing 0 and n-1, each with its inverse."""
-    out = []
-    for middle in itertools.permutations(range(1, n - 1)):
-        perm = (0,) + middle + (n - 1,)
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        out.append((perm, inv))
-    return out
-
-
-def _relabelled(tab, perm, inv) -> bytes:
-    n = len(tab)
-    return bytes(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+    perms = [(0,) + middle + (n - 1,)
+             for middle in itertools.permutations(range(1, n - 1))]
+    return [(perm, [perm.index(x) for x in range(n)]) for perm in perms]
 
 
 def canonical_form(A: PoSemiringTable) -> bytes:
-    """Minimal serialization of (add, mul) over all 0,1-fixing permutations."""
-    return min(_relabelled(A.add, perm, inv) + _relabelled(A.mul, perm, inv)
-               for perm, inv in _fixing_perms(A.order))
+    """Least serialization of (add, mul) over all 0,1-fixing permutations."""
+    return _key_and_aut(A)[0]
+
+
+def automorphism_count(A: PoSemiringTable) -> int:
+    """Number of 0,1-fixing permutations that preserve both tables."""
+    return _key_and_aut(A)[1]
+
+
+def _key_and_aut(A: PoSemiringTable):
+    """canonical_form(A) and |Aut(A)|, for A satisfying the axioms.
+
+    The least add, then the least mul over the perms reaching it, is the
+    least (add, mul); the perms reaching both are a coset of Aut(A).
+    """
+    lattice_key, lattice_hits = _least_relabellings(A.add,
+                                                    _fixing_perms(A.order))
+    mul_key, hits = _least_relabellings(A.mul, lattice_hits)
+    return lattice_key + mul_key, len(hits)
 
 
 def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
@@ -63,17 +69,6 @@ def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
     add = [list(data[x * n:(x + 1) * n]) for x in range(n)]
     mul = [list(data[cells + x * n:cells + (x + 1) * n]) for x in range(n)]
     return make_table(n, _generic_names(n), add, mul)
-
-
-def automorphism_count(A: PoSemiringTable) -> int:
-    n = A.order
-    count = 0
-    for perm, _ in _fixing_perms(n):
-        if all(perm[A.add[x][y]] == A.add[perm[x]][perm[y]]
-               and perm[A.mul[x][y]] == A.mul[perm[x]][perm[y]]
-               for x in range(n) for y in range(n)):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +220,20 @@ def _fast_census(n: int):
     Every isomorphism between tables on one lattice L is an automorphism of
     L, so lattice_key + min over Aut(L) of the relabelled mul equals
     canonical_form, and the automorphisms reaching that minimum are Aut(A).
+    No table is verified: each join table is a lattice, partial_ok checks
+    every associativity and distributivity triple reading a new cell, and
+    the search builds in commutativity, identity and absorption.
     """
     perms = _fixing_perms(n)
     lattice_keys = dict.fromkeys(_least_relabellings(add, perms)[0]
                                  for add in _bounded_semilattices(n))
-    names = _generic_names(n)
     classes = {}    # canonical key -> |Aut|
     for lattice_key in lattice_keys:
         add = tuple(tuple(lattice_key[x * n:(x + 1) * n]) for x in range(n))
         lattice_aut = _least_relabellings(add, perms)[1]
         for mul in _mul_backtrack(n, add):
-            # well-formed by construction, so make_table's checks are skipped
-            A = PoSemiringTable(order=n, names=names, add=add, mul=mul)
-            if not verify_axioms(A).valid:
-                continue
             mul_key, stabiliser = _least_relabellings(mul, lattice_aut)
-            key = lattice_key + mul_key
-            if key not in classes:
-                classes[key] = len(stabiliser)
+            classes.setdefault(lattice_key + mul_key, len(stabiliser))
     reps = [table_from_canonical(n, k) for k in sorted(classes)]
     labeled = sum(math.factorial(n - 2) // aut for aut in classes.values())
     return reps, labeled
@@ -292,21 +283,16 @@ def _naive_census(n: int):
             return x
         return None
 
-    classes = {}
+    keys = set()
     labeled = 0
-    adds = [t for t in tables(add_fixed)]
-    muls = [t for t in tables(mul_fixed)]
-    for add in adds:
+    muls = list(tables(mul_fixed))
+    for add in tables(add_fixed):
         for mul in muls:
             A = make_table(n, _generic_names(n), add, mul)
-            if not verify_axioms(A).valid:
-                continue
-            labeled += 1
-            key = canonical_form(A)
-            if key not in classes:
-                classes[key] = table_from_canonical(n, key)
-    reps = [classes[k] for k in sorted(classes)]
-    return reps, labeled
+            if verify_axioms(A).valid:
+                labeled += 1
+                keys.add(canonical_form(A))
+    return [table_from_canonical(n, k) for k in sorted(keys)], labeled
 
 
 def enumerate_posemirings(n: int, mode: str = "fast") -> CensusResult:

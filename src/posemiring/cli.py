@@ -196,7 +196,8 @@ def cmd_enumerate(args):
     if args.emit_dir:
         os.makedirs(args.emit_dir, exist_ok=True)
         for A in result.instances:
-            key = census_mod.canonical_form(A)
+            # a representative's serialization is its canonical key
+            key = b"".join(map(bytes, A.add + A.mul))
             name = hashlib.sha256(key).hexdigest()[:16] + ".psr"
             with open(os.path.join(args.emit_dir, name), "w",
                       encoding="utf-8") as fh:

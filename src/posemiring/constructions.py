@@ -447,6 +447,11 @@ def peel_boolean(A: PoSemiringTable) -> BooleanPeel:
     """Repeatedly split off {0,1} factors at idempotent minimal elements."""
     if not check_conditions(A).c3:
         raise NotApplicableError("condition (C3) does not hold")
+    return _peel_boolean(A)
+
+
+def _peel_boolean(A: PoSemiringTable) -> BooleanPeel:
+    """peel_boolean without its (C3) check."""
     count = 0
     cur = A
     while cur.order > 2:
@@ -459,8 +464,9 @@ def peel_boolean(A: PoSemiringTable) -> BooleanPeel:
             break
         cur, _ = sub_posemiring(cur, _lower_members(cur, f), top=f)
         count += 1
-    rebuilt = cur if count == 0 else direct_product(boolean_power(count), cur)
-    perm = find_isomorphism(A, rebuilt)
+    if count == 0:
+        return BooleanPeel(n=0, a1=A, witness=tuple(A.elements()))
+    perm = find_isomorphism(A, direct_product(boolean_power(count), cur))
     if perm is None:
         raise StructureError("boolean peel rebuild is not isomorphic to the input")
     return BooleanPeel(n=count, a1=cur, witness=perm)
@@ -473,6 +479,11 @@ def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
     shape = classify_shape(posemiring_zdgraph(A))
     if shape.tag != "two-star" or shape.params[0] != 1:
         raise NotApplicableError(f"shape is {shape.line()}, not K1+K1+K1+D_r")
+    return _split_two_star(A)
+
+
+def _split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
+    """split_two_star without its (C3) and graph-shape checks."""
     for e in A.nonzero():
         if not (is_idempotent(A, e) and is_minimal_element(A, e)):
             continue

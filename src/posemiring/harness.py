@@ -78,9 +78,9 @@ class Ctx:
     def graph(self):
         return cons.posemiring_zdgraph(self.A)
 
-    @cached_property
+    @property
     def metrics(self):
-        return graph_metrics(self.graph)
+        return self.shape.metrics
 
     @cached_property
     def shape(self):
@@ -355,7 +355,7 @@ def chk_t35b(ctx):
         return _na("condition (C3) does not hold")
     if ctx.shape.tag != "two-star" or ctx.shape.params[0] != 1:
         return _na("graph is not K1+K1+K1+D_r")
-    split = cons.split_two_star(ctx.A)
+    split = cons._split_two_star(ctx.A)
     if split is None:
         return _fail("no {0,1} x S splitting found")
     if len(analyze_elements(split.s).zero_divisors) != 1:
@@ -482,7 +482,7 @@ def chk_p48(ctx):
     if not ctx.cond.c3:
         return _na("condition (C3) does not hold")
     try:
-        peel = cons.peel_boolean(ctx.A)
+        peel = cons._peel_boolean(ctx.A)
     except StructureError as exc:
         return _fail(str(exc))
     a1 = peel.a1

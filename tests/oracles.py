@@ -1,8 +1,11 @@
-"""Brute-force references for the table-law kernels in the package.
+"""Brute-force references for the table-law kernels and census keys.
 
-Each walks every pair or triple in the loop order that defines which
-witness or message comes first.  Tests compare the package against them.
+The law checks walk every pair or triple in the loop order that defines
+which witness or message comes first; the keys try every permutation in
+full.  Tests compare the package against them.
 """
+
+import itertools
 
 from posemiring.core import AxiomReport, StructureError
 
@@ -72,3 +75,32 @@ def join_table(below):
                 return None
             add[x][y] = least[0]
     return add
+
+
+def _fixing_perms(n):
+    """Every permutation of 0..n-1 fixing 0 and n-1, with its inverse."""
+    for middle in itertools.permutations(range(1, n - 1)):
+        perm = (0,) + middle + (n - 1,)
+        yield perm, [perm.index(x) for x in range(n)]
+
+
+def _relabelled(tab, perm, inv):
+    n = len(tab)
+    return bytes(perm[tab[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+
+
+def canonical_form(A) -> bytes:
+    """census.canonical_form as the least full serialization over all
+    0,1-fixing permutations."""
+    return min(_relabelled(A.add, perm, inv) + _relabelled(A.mul, perm, inv)
+               for perm, inv in _fixing_perms(A.order))
+
+
+def automorphism_count(A) -> int:
+    """census.automorphism_count by transporting every 0,1-fixing
+    permutation over both tables."""
+    n = A.order
+    return sum(all(perm[A.add[x][y]] == A.add[perm[x]][perm[y]]
+                   and perm[A.mul[x][y]] == A.mul[perm[x]][perm[y]]
+                   for x in range(n) for y in range(n))
+               for perm, _ in _fixing_perms(n))

@@ -1,14 +1,18 @@
 import itertools
 import math
+import random
 
 import pytest
 
 import oracles
 from posemiring import constructions as cons
+from posemiring import harness
 from posemiring.census import (
     _bounded_semilattices,
+    _fixing_perms,
     _generic_names,
     _join_table,
+    _least_relabellings,
     _linear_posets,
     _mul_backtrack,
     automorphism_count,
@@ -23,6 +27,15 @@ from posemiring.core import (
     make_table,
     verify_axioms,
 )
+
+
+def relabel(A, perm):
+    """A with element x renamed perm[x]."""
+    n = A.order
+    inv = [perm.index(x) for x in range(n)]
+    add = [[perm[A.add[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    mul = [[perm[A.mul[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    return make_table(n, A.names, add, mul)
 
 
 class TestCounts:
@@ -56,8 +69,8 @@ class TestCounts:
             naive = enumerate_posemirings(n, mode="naive")
             assert fast.count_up_to_iso == naive.count_up_to_iso
             assert fast.count_labeled == naive.count_labeled
-            fast_keys = {canonical_form(A) for A in fast.instances}
-            naive_keys = {canonical_form(A) for A in naive.instances}
+            fast_keys = {oracles.canonical_form(A) for A in fast.instances}
+            naive_keys = {oracles.canonical_form(A) for A in naive.instances}
             assert fast_keys == naive_keys
 
     def test_caps(self):
@@ -108,6 +121,24 @@ class TestMulSearch:
                 assert len(got) == len(set(got))
                 assert set(got) == want
 
+    def test_every_output_satisfies_the_axioms(self):
+        # the census keeps every table the search yields without verifying it
+        for n in range(2, 8):
+            perms = _fixing_perms(n)
+            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
+                                     for add in _bounded_semilattices(n))
+            tables = 0
+            for key in lattices:
+                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                for mul in _mul_backtrack(n, add):
+                    A = make_table(n, _generic_names(n), add, mul)
+                    assert oracles.verify_axioms(A).valid
+                    tables += 1
+            # lattice classes: OEIS A006966
+            assert (len(lattices), tables) == {
+                2: (1, 1), 3: (1, 2), 4: (2, 7), 5: (5, 27), 6: (15, 142),
+                7: (53, 839)}[n]
+
 
 class TestCanonicalForm:
     def test_round_trip(self, census):
@@ -121,13 +152,7 @@ class TestCanonicalForm:
         for A in census[4].instances:
             n = A.order
             for middle in itertools.permutations(range(1, n - 1)):
-                perm = (0,) + middle + (n - 1,)
-                inv = [perm.index(i) for i in range(n)]
-                add = [[perm[A.add[inv[x]][inv[y]]] for y in range(n)]
-                       for x in range(n)]
-                mul = [[perm[A.mul[inv[x]][inv[y]]] for y in range(n)]
-                       for x in range(n)]
-                B = make_table(n, A.names, add, mul)
+                B = relabel(A, (0,) + middle + (n - 1,))
                 assert canonical_form(B) == canonical_form(A)
 
     def test_representatives_are_canonical_and_sorted(self):
@@ -144,6 +169,22 @@ class TestCanonicalForm:
         assert len(keys) == 2
 
 
+class TestKeysAgainstOracle:
+    def test_keys_and_automorphisms_match(self):
+        # census <= 6, a seeded relabelling of each, the construction grid
+        reps = [A for n in range(2, 7)
+                for A in enumerate_posemirings(n).instances]
+        rng = random.Random(6)
+        relabelled = []
+        for A in reps:
+            middle = rng.sample(range(1, A.order - 1), A.order - 2)
+            relabelled.append(relabel(A, [0] + middle + [A.order - 1]))
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        for A in reps + relabelled + grid:
+            assert canonical_form(A) == oracles.canonical_form(A)
+            assert automorphism_count(A) == oracles.automorphism_count(A)
+
+
 class TestAutomorphisms:
     def test_boolean_square_has_atom_swap(self):
         A = cons.boolean_power(2)
@@ -156,7 +197,7 @@ class TestAutomorphisms:
         # labeled count = sum over classes of (n-2)! / |Aut|
         for n in (3, 4, 5, 6):
             result = enumerate_posemirings(n)
-            total = sum(math.factorial(n - 2) // automorphism_count(A)
+            total = sum(math.factorial(n - 2) // oracles.automorphism_count(A)
                         for A in result.instances)
             assert total == result.count_labeled
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -140,6 +142,20 @@ class TestEnumerate:
         for f in files:
             assert parse_psr(f.read_text()).order == 3
 
+    def test_emit_dir_pinned(self, tmp_path, capsys):
+        # sha256 over every file name and content for orders 2..6
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            out_dir = tmp_path / str(n)
+            code, _, _ = run(capsys, "enumerate", str(n),
+                             "--emit-dir", str(out_dir))
+            assert code == 0
+            for f in sorted(out_dir.iterdir()):
+                digest.update(f"{n}/{f.name}\n".encode())
+                digest.update(f.read_bytes())
+        assert digest.hexdigest() == (
+            "799b7789d8c41ea37d3b07ea84feef6ef770c741b259e322b7bd60bc8b28e171")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "4", "--json")
         data = json.loads(out)
@@ -194,6 +210,30 @@ class TestTheorems:
         assert code == 0
         assert json.loads(out)["counts"] == {
             "pass": 2237, "not-applicable": 2433, "fail": 0}
+
+    def test_census7_verdict_counts_per_check(self, capsys):
+        code, out, _ = run(capsys, "theorems", "--corpus", "census:7",
+                           "--report", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["counts"] == {
+            "pass": 9829, "not-applicable": 11470, "fail": 0}
+        got = Counter((row["check"], row["result"])
+                      for row in data["results"])
+        want = {
+            "P2.1a": (925, 0), "P2.1b": (925, 0), "P2.1c": (925, 0),
+            "P2.13": (925, 0), "P2.16": (925, 0),
+            "T2.2": (241, 684), "T2.2t": (241, 684), "T2.3": (241, 684),
+            "T2.7": (241, 684), "T2.9": (241, 684), "C3.8": (241, 684),
+            "T3.1": (238, 687), "T3.5a": (247, 678), "T3.5b": (1, 924),
+            "T3.5b-conv": (1, 5),
+            "L3.3a": (6, 0), "L3.3b": (6, 0), "L3.3c": (6, 0),
+            "L3.4a": (754, 171), "L3.4b": (754, 171), "L3.4c": (754, 171),
+            "L4.1a": (43, 882), "L4.1b": (89, 836), "T4.2": (93, 832),
+            "C4.3": (37, 888), "P4.5": (39, 886), "P4.8": (690, 235),
+        }
+        assert {check: (got[check, "pass"], got[check, "not-applicable"])
+                for check, _ in got} == want
 
     def test_check_selection(self, capsys):
         code, out, _ = run(capsys, "theorems", "--corpus", "census:2",
