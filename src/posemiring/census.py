@@ -1,11 +1,13 @@
 """Isomorph-free exhaustive generation of small po-semirings.
 
 Fast mode enumerates bounded join-semilattice addition tables (labels
-restricted to linear extensions, which loses no isomorphism class), keeps one
-canonical lattice per isomorphism class, then backtracks over multiplication
-tables on each with incremental pruning; classes are keyed through the
-lattice's automorphisms.  A naive table-pair sweep serves as an independent
-oracle at small orders.
+restricted to linear extensions, which loses no isomorphism class) and keeps
+one canonical lattice per isomorphism class.  On each it searches the
+multiplication tables row by row: every row is a join-endomorphism of the
+lattice below the identity, commutativity picks the candidates for a row, and
+associativity is checked as composition of rows.  Classes are keyed through
+the lattice's automorphisms.  A naive table-pair sweep serves as an
+independent oracle at small orders.
 """
 
 from __future__ import annotations
@@ -129,59 +131,98 @@ def _bounded_semilattices(n: int):
             yield tab
 
 
-def _mul_backtrack(n: int, add):
-    """Yield all multiplication tables compatible with the given join table."""
-    one = n - 1
-    leq = [[add[x][y] == y for y in range(n)] for x in range(n)]
-    down = [[z for z in range(n) if leq[z][x]] for x in range(n)]
-    mul = [[None] * n for _ in range(n)]
-    for x in range(n):
-        mul[0][x] = mul[x][0] = 0
-        mul[one][x] = mul[x][one] = x
-    inner = range(1, one)
-    cells = [(x, y) for x in inner for y in range(x, one)]
+def _join_endomorphisms(add):
+    """Every join-endomorphism f of the lattice with f(y) <= y, as bytes.
 
-    def partial_ok(cx, cy):
-        # Only triples reading cell (cx, cy) can newly fail, and each has a
-        # coordinate in {cx, cy}.  Triples with a 0 or 1 coordinate hold by
-        # absorption and identity, since every product is below its factors.
-        new = (cx,) if cx == cy else (cx, cy)
-        for x in inner:
-            row = mul[x]
-            x_new = x in new
-            for y in inner:
-                v = row[y]
-                if v is None:
-                    continue
-                row_v, row_y, add_y, add_v = mul[v], mul[y], add[y], add[v]
-                for z in (inner if x_new or y in new else new):
-                    # associativity on filled triples
-                    yz = row_y[z]
-                    if yz is not None:
-                        left, right = row_v[z], row[yz]
-                        if left is not None and right is not None \
-                                and left != right:
-                            return False
-                    # distributivity on filled triples
-                    w = row[z]
-                    if w is not None:
-                        left = row[add_y[z]]
-                        if left is not None and left != add_v[w]:
-                            return False
-        return True
+    The maps grow together, one element at a time, in a linear extension of
+    the lattice (by down-set size; the labels need not be one).  A
+    join-irreducible y with lower cover c takes any v <= y above f(c).  A
+    join-reducible y is forced to the join of f over its lower covers, which
+    must equal f(a) + f(b) for every minimal incomparable pair with
+    a + b = y; a pair (a, b) is minimal when no lower cover of a or of b
+    still joins with the other to y, and every other pair follows from one
+    below it by monotonicity.
+    """
+    n = len(add)
+    down = [[z for z in range(n) if add[z][y] == y] for y in range(n)]
+    order = sorted(range(1, n), key=lambda y: len(down[y]))
+    covers = [[z for z in down[y] if z != y
+               and not any(add[z][w] == w != z for w in down[y] if w != y)]
+              for y in range(n)]
+    steps = []
+    for y in order:
+        if len(covers[y]) == 1:
+            steps.append((y, covers[y], [[v for v in down[y] if add[u][v] == v]
+                                         for u in range(n)]))
+            continue
+        pairs = [(a, b) for a in down[y] for b in down[y]
+                 if a < b and add[a][b] == y and y not in (a, b)
+                 and all(add[a2][b] != y for a2 in covers[a])
+                 and all(add[a][b2] != y for b2 in covers[b])]
+        steps.append((y, covers[y], pairs))
+    found = [[0] * n]
+    for y, lower, rest in steps:
+        if len(lower) == 1:
+            c, grown = lower[0], []
+            for f in found:
+                for v in rest[f[c]]:
+                    g = f.copy()
+                    g[y] = v
+                    grown.append(g)
+            found = grown
+            continue
+        kept = []
+        for f in found:
+            v = 0
+            for z in lower:
+                v = add[v][f[z]]
+            if all(add[f[a]][f[b]] == v for a, b in rest):
+                f[y] = v
+                kept.append(f)
+        found = kept
+    return list(map(bytes, found))
+
+
+def _mul_backtrack(n: int, add):
+    """Yield all multiplication tables compatible with the given join table.
+
+    Distributivity and absorption make each row mul_x a join-endomorphism
+    with mul_x(y) <= y and mul_x(1) = x, so the rows are picked from
+    _join_endomorphisms(add), one row at a time.  Rows go in a linear
+    extension of the lattice, so when xb < x the row of xb is assigned
+    before row x.  Row x's values at the earlier rows are fixed by commutativity, and
+    the candidates are indexed by them.  Associativity is composition:
+    mul_x . mul_b == mul_b . mul_x == mul_{xb} for every earlier b and for
+    b = x, checked with bytes.translate on rows padded to 256 bytes.
+    """
+    one = n - 1
+    down_size = [sum(add[z][y] == y for z in range(n)) for y in range(n)]
+    order = sorted(range(1, one), key=down_size.__getitem__)
+    earlier = {x: order[:k] for k, x in enumerate(order)}
+    pad = bytes(256 - n)
+    candidates = [{} for _ in range(n)]
+    for f in _join_endomorphisms(add):
+        x = f[one]
+        if x in earlier:
+            key = bytes([f[b] for b in earlier[x]])
+            candidates[x].setdefault(key, []).append((f, f + pad))
+    rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
+    maps = [None] * n
 
     def rec(k):
-        if k == len(cells):
-            yield tuple(map(tuple, mul))
+        if k == len(order):
+            yield tuple(map(tuple, rows))
             return
-        x, y = cells[k]
-        for v in down[x]:
-            if not leq[v][y]:
-                continue
-            mul[x][y] = mul[y][x] = v
-            if partial_ok(x, y):
+        x = order[k]
+        key = bytes([rows[b][x] for b in earlier[x]])
+        for f, fmap in candidates[x].get(key, ()):
+            rows[x] = f
+            if f.translate(fmap) == rows[f[x]] and all(
+                    rows[b].translate(fmap) == rows[f[b]]
+                    == f.translate(maps[b]) for b in earlier[x]):
+                maps[x] = fmap
                 yield from rec(k + 1)
-        mul[x][y] = mul[y][x] = None
+        rows[x] = None
 
     yield from rec(0)
 
@@ -220,17 +261,24 @@ def _fast_census(n: int):
     Every isomorphism between tables on one lattice L is an automorphism of
     L, so lattice_key + min over Aut(L) of the relabelled mul equals
     canonical_form, and the automorphisms reaching that minimum are Aut(A).
-    No table is verified: each join table is a lattice, partial_ok checks
-    every associativity and distributivity triple reading a new cell, and
-    the search builds in commutativity, identity and absorption.
+    The perms taking the first labelled lattice of a class to its key are
+    a coset p0 Aut(L), so Aut(L) = {p . p0^-1}.  No table is verified: each
+    join table is a lattice, and _mul_backtrack builds every row as a
+    join-endomorphism (distributivity, identity, absorption), takes it from
+    the candidates that match the earlier rows (commutativity) and checks
+    its compositions with them (associativity).
     """
     perms = _fixing_perms(n)
-    lattice_keys = dict.fromkeys(_least_relabellings(add, perms)[0]
-                                 for add in _bounded_semilattices(n))
+    lattice_hits = {}   # lattice key -> hits of its first labelled lattice
+    for add in _bounded_semilattices(n):
+        key, hits = _least_relabellings(add, perms)
+        lattice_hits.setdefault(key, hits)
     classes = {}    # canonical key -> |Aut|
-    for lattice_key in lattice_keys:
+    for lattice_key, hits in lattice_hits.items():
         add = tuple(tuple(lattice_key[x * n:(x + 1) * n]) for x in range(n))
-        lattice_aut = _least_relabellings(add, perms)[1]
+        p0, inv0 = hits[0]
+        lattice_aut = [([perm[y] for y in inv0], [p0[y] for y in inv])
+                       for perm, inv in hits]
         for mul in _mul_backtrack(n, add):
             mul_key, stabiliser = _least_relabellings(mul, lattice_aut)
             classes.setdefault(lattice_key + mul_key, len(stabiliser))

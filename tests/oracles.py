@@ -2,7 +2,8 @@
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
-full.  Tests compare the package against them.
+full; the multiplication search fills one cell at a time.  Tests compare
+the package against them.
 """
 
 import itertools
@@ -104,3 +105,61 @@ def automorphism_count(A) -> int:
                    and perm[A.mul[x][y]] == A.mul[perm[x]][perm[y]]
                    for x in range(n) for y in range(n))
                for perm, _ in _fixing_perms(n))
+
+
+def mul_backtrack(n, add):
+    """census._mul_backtrack filling one symmetric cell at a time, pruned by
+    every associativity and distributivity triple that reads a filled cell."""
+    one = n - 1
+    leq = [[add[x][y] == y for y in range(n)] for x in range(n)]
+    down = [[z for z in range(n) if leq[z][x]] for x in range(n)]
+    mul = [[None] * n for _ in range(n)]
+    for x in range(n):
+        mul[0][x] = mul[x][0] = 0
+        mul[one][x] = mul[x][one] = x
+    inner = range(1, one)
+    cells = [(x, y) for x in inner for y in range(x, one)]
+
+    def partial_ok(cx, cy):
+        # Only triples reading cell (cx, cy) can newly fail, and each has a
+        # coordinate in {cx, cy}.  Triples with a 0 or 1 coordinate hold by
+        # absorption and identity, since every product is below its factors.
+        new = (cx,) if cx == cy else (cx, cy)
+        for x in inner:
+            row = mul[x]
+            x_new = x in new
+            for y in inner:
+                v = row[y]
+                if v is None:
+                    continue
+                row_v, row_y, add_y, add_v = mul[v], mul[y], add[y], add[v]
+                for z in (inner if x_new or y in new else new):
+                    # associativity on filled triples
+                    yz = row_y[z]
+                    if yz is not None:
+                        left, right = row_v[z], row[yz]
+                        if left is not None and right is not None \
+                                and left != right:
+                            return False
+                    # distributivity on filled triples
+                    w = row[z]
+                    if w is not None:
+                        left = row[add_y[z]]
+                        if left is not None and left != add_v[w]:
+                            return False
+        return True
+
+    def rec(k):
+        if k == len(cells):
+            yield tuple(map(tuple, mul))
+            return
+        x, y = cells[k]
+        for v in down[x]:
+            if not leq[v][y]:
+                continue
+            mul[x][y] = mul[y][x] = v
+            if partial_ok(x, y):
+                yield from rec(k + 1)
+        mul[x][y] = mul[y][x] = None
+
+    yield from rec(0)

@@ -11,6 +11,7 @@ from posemiring.census import (
     _bounded_semilattices,
     _fixing_perms,
     _generic_names,
+    _join_endomorphisms,
     _join_table,
     _least_relabellings,
     _linear_posets,
@@ -95,6 +96,35 @@ class TestLattices:
                 lattices += got is not None
             assert lattices == {2: 1, 3: 1, 4: 2, 5: 7, 6: 39, 7: 320}[n]
 
+    def test_order_eight_labelled_lattices(self):
+        assert sum(1 for _ in _bounded_semilattices(8)) == 3637
+
+    def test_join_endomorphisms_equal_brute_force(self):
+        # every labelled lattice and every lattice key up to order 6; the
+        # keys are not labelled by a linear extension
+        def brute(add):
+            n = len(add)
+            down = [[z for z in range(n) if add[z][y] == y] for y in range(n)]
+            return {bytes(f) for f in itertools.product(*down)
+                    if all(f[add[a][b]] == add[f[a]][f[b]]
+                           for a in range(n) for b in range(n))}
+
+        unsorted = 0    # keys with an element below one of smaller index
+        for n in range(2, 7):
+            labelled = list(_bounded_semilattices(n))
+            perms = _fixing_perms(n)
+            keys = dict.fromkeys(_least_relabellings(add, perms)[0]
+                                 for add in labelled)
+            keyed = [[list(key[x * n:(x + 1) * n]) for x in range(n)]
+                     for key in keys]
+            unsorted += sum(any(key[x][y] == y for x in range(n)
+                                for y in range(x)) for key in keyed)
+            for add in labelled + keyed:
+                got = list(_join_endomorphisms(add))
+                assert len(got) == len(set(got))
+                assert set(got) == brute(add)
+        assert unsorted > 0
+
 
 class TestMulSearch:
     def test_yields_exactly_the_valid_multiplications(self):
@@ -120,6 +150,18 @@ class TestMulSearch:
                 got = list(_mul_backtrack(n, add))
                 assert len(got) == len(set(got))
                 assert set(got) == want
+
+    def test_matches_cell_search_oracle(self):
+        # the same set per lattice class, with no duplicates
+        for n in range(2, 8):
+            perms = _fixing_perms(n)
+            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
+                                     for add in _bounded_semilattices(n))
+            for key in lattices:
+                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                got = list(_mul_backtrack(n, add))
+                assert len(got) == len(set(got))
+                assert set(got) == set(oracles.mul_backtrack(n, add))
 
     def test_every_output_satisfies_the_axioms(self):
         # the census keeps every table the search yields without verifying it

@@ -156,6 +156,17 @@ class TestEnumerate:
         assert digest.hexdigest() == (
             "799b7789d8c41ea37d3b07ea84feef6ef770c741b259e322b7bd60bc8b28e171")
 
+    def test_emit_dir_pinned_order_seven(self, tmp_path, capsys):
+        # sha256 over every file name and content for order 7 (723 files)
+        digest = hashlib.sha256()
+        code, _, _ = run(capsys, "enumerate", "7", "--emit-dir", str(tmp_path))
+        assert code == 0
+        for f in sorted(tmp_path.iterdir()):
+            digest.update(f"7/{f.name}\n".encode())
+            digest.update(f.read_bytes())
+        assert digest.hexdigest() == (
+            "04bcdd09cc2682bc5960cafecb87ad3496ccaa57aa7e01badfed67f0cfe9c027")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "4", "--json")
         data = json.loads(out)
