@@ -67,10 +67,11 @@ def _key_and_aut(A: PoSemiringTable):
 
 
 def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
-    cells = n * n
-    add = [list(data[x * n:(x + 1) * n]) for x in range(n)]
-    mul = [list(data[cells + x * n:cells + (x + 1) * n]) for x in range(n)]
-    return make_table(n, _generic_names(n), add, mul)
+    """The representative with canonical key data, built without re-checks:
+    the census makes its keys from valid tables."""
+    rows = [tuple(data[i:i + n]) for i in range(0, 2 * n * n, n)]
+    return PoSemiringTable(order=n, names=_generic_names(n),
+                           add=tuple(rows[:n]), mul=tuple(rows[n:]))
 
 
 # ---------------------------------------------------------------------------

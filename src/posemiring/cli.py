@@ -256,11 +256,7 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
             max_n = int(spec[len("census:"):])
         except ValueError:
             raise CliError(f"bad corpus spec {spec!r}") from None
-        corpus = harness.census_corpus(max_n)
-        grid = harness.construction_grid()
-        corpus.posemirings.extend(grid.posemirings)
-        corpus.pairs.extend(harness.census_pairs(min(max_n, 3)))
-        return corpus
+        return harness.full_corpus(max_n, min(max_n, 3))
     if spec.startswith("files:"):
         directory = spec[len("files:"):]
         corpus = harness.Corpus()

@@ -500,7 +500,7 @@ def _split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
 
 
 def posemiring_zdgraph(A: PoSemiringTable) -> ZdGraph:
-    return build_zdgraph(A.mul, source_kind="posemiring")
+    return build_zdgraph(A.mul)
 
 
 # ---------------------------------------------------------------------------

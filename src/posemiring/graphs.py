@@ -14,7 +14,6 @@ INF = math.inf
 class ZdGraph:
     vertices: tuple[int, ...]            # element indices in the source table
     adjacency: tuple[tuple[bool, ...], ...]  # by vertex position, symmetric
-    source_kind: str                     # posemiring | ring | semigroup
 
     @property
     def n(self) -> int:
@@ -31,10 +30,9 @@ class ZdGraph:
                 if self.adjacency[i][j]]
 
 
-def build_zdgraph(mul, exclude=(), source_kind="semigroup") -> ZdGraph:
+def build_zdgraph(mul) -> ZdGraph:
     """Graph on the nonzero zero divisors of a commutative table with 0 at index 0."""
     n = len(mul)
-    exclude = set(exclude)
     for x in range(n):
         for y in range(n):
             if mul[x][y] != mul[y][x]:
@@ -42,12 +40,10 @@ def build_zdgraph(mul, exclude=(), source_kind="semigroup") -> ZdGraph:
         if mul[0][x] != 0:
             raise StructureError(f"0 does not absorb element {x}")
     vertices = tuple(x for x in range(1, n)
-                     if x not in exclude
-                     and any(mul[x][y] == 0 for y in range(1, n)))
+                     if any(mul[x][y] == 0 for y in range(1, n)))
     adjacency = tuple(
         tuple(x != y and mul[x][y] == 0 for y in vertices) for x in vertices)
-    return ZdGraph(vertices=vertices, adjacency=adjacency,
-                   source_kind=source_kind)
+    return ZdGraph(vertices=vertices, adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -63,117 +59,89 @@ class GraphMetrics:
     eccentricity: tuple[float, ...]
     triangle_free: bool
     quadrilateral_free: bool
+    maximal_cliques: tuple[tuple[int, ...], ...]   # vertex positions, sorted
 
 
-def _bfs_dist(G: ZdGraph, src: int):
-    dist = [INF] * G.n
-    dist[src] = 0
-    queue = [src]
+def _bfs(nbrs, s: int):
+    """Distances from s, and the shortest cycle closed by a non-tree edge.
+
+    The minimum of the cycle lengths over all sources is the girth
+    (Itai & Rodeh 1978); the cycle is None when the search meets none.
+    """
+    dist = [INF] * len(nbrs)
+    parent = [None] * len(nbrs)
+    dist[s] = 0
+    cycle = None
+    queue = [s]
     while queue:
         nxt = []
         for v in queue:
-            for w in G.neighbors(v):
+            for w in nbrs[v]:
                 if dist[w] == INF:
                     dist[w] = dist[v] + 1
+                    parent[w] = v
                     nxt.append(w)
+                elif w != parent[v]:
+                    length = dist[v] + dist[w] + 1
+                    if cycle is None or length < cycle:
+                        cycle = length
         queue = nxt
-    return dist
+    return dist, cycle
 
 
-def _component_count(G: ZdGraph) -> int:
-    seen = set()
-    count = 0
-    for v in range(G.n):
-        if v in seen:
-            continue
-        count += 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(G.neighbors(u))
-    return count
+def _maximal_cliques(masks):
+    """Every maximal clique, by Bron-Kerbosch with Tomita's pivot.
+
+    masks[v] is the neighbourhood of v as a bit set; a clique comes out as
+    its sorted vertex positions, and the list is sorted.
+    """
+    cliques = []
+
+    def expand(clique, p, x):
+        if not p:
+            if not x:
+                cliques.append(tuple(_members(clique)))
+            return
+        pivot = max(_members(p | x), key=lambda u: (masks[u] & p).bit_count())
+        for v in _members(p & ~masks[pivot]):
+            expand(clique | 1 << v, p & masks[v], x & masks[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, (1 << len(masks)) - 1, 0)
+    return tuple(sorted(cliques))
 
 
-def _girth(G: ZdGraph) -> int | None:
-    """Length of a shortest cycle by BFS from every vertex."""
-    best = None
-    for s in range(G.n):
-        dist = [None] * G.n
-        parent = [None] * G.n
-        dist[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in G.neighbors(v):
-                    if dist[w] is None:
-                        dist[w] = dist[v] + 1
-                        parent[w] = v
-                        nxt.append(w)
-                    elif w != parent[v]:
-                        cyc = dist[v] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
-            queue = nxt
-    return best
-
-
-def _max_clique(G: ZdGraph) -> int:
-    if G.n == 0:
-        return 0
-    best = 1
-    order = sorted(range(G.n), key=G.degree, reverse=True)
-    adj = [set(G.neighbors(v)) for v in range(G.n)]
-
-    def extend(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            extend(size + 1, [w for w in cand[i + 1:] if w in adj[v]])
-
-    extend(0, order)
-    return best
-
-
-def _has_quadrilateral(G: ZdGraph) -> bool:
-    # a C4 subgraph exists iff some vertex pair has two common neighbors
-    for x in range(G.n):
-        nx = set(G.neighbors(x))
-        for y in range(x + 1, G.n):
-            if len(nx.intersection(G.neighbors(y))) >= 2:
-                return True
-    return False
-
-
-def _has_triangle(G: ZdGraph) -> bool:
-    for x, y in G.edges():
-        if set(G.neighbors(x)).intersection(G.neighbors(y)):
-            return True
-    return False
+def _members(mask: int):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def graph_metrics(G: ZdGraph) -> GraphMetrics:
     if G.n == 0:
         return GraphMetrics(diameter=None, girth=None, clique_number=0,
                             component_count=0, eccentricity=(),
-                            triangle_free=True, quadrilateral_free=True)
-    ecc = tuple(max(_bfs_dist(G, v)) for v in range(G.n))
-    components = _component_count(G)
-    diameter = max(ecc) if components == 1 else INF
+                            triangle_free=True, quadrilateral_free=True,
+                            maximal_cliques=())
+    nbrs = [G.neighbors(v) for v in range(G.n)]
+    masks = [sum(1 << w for w in nb) for nb in nbrs]
+    dist, cycles = zip(*(_bfs(nbrs, s) for s in range(G.n)))
+    ecc = tuple(map(max, dist))
+    cliques = _maximal_cliques(masks)
+    clique_number = max(map(len, cliques))
     return GraphMetrics(
-        diameter=diameter,
-        girth=_girth(G),
-        clique_number=_max_clique(G),
-        component_count=components,
+        diameter=max(ecc),                  # inf exactly when disconnected
+        girth=min((c for c in cycles if c is not None), default=None),
+        clique_number=clique_number,
+        # v starts a component when no earlier vertex reaches it
+        component_count=sum(all(dist[u][v] == INF for u in range(v))
+                            for v in range(G.n)),
         eccentricity=ecc,
-        triangle_free=not _has_triangle(G),
-        quadrilateral_free=not _has_quadrilateral(G),
+        triangle_free=clique_number < 3,
+        # a C4 subgraph exists iff some vertex pair has two common neighbours
+        quadrilateral_free=not any(
+            (masks[x] & masks[y]).bit_count() >= 2
+            for x in range(G.n) for y in range(x + 1, G.n)),
+        maximal_cliques=cliques,
     )
 
 
@@ -233,28 +201,14 @@ def _two_star_params(G: ZdGraph):
 
 
 def _complete_bipartite_params(G: ZdGraph):
-    color = [None] * G.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in G.neighbors(v):
-            if color[w] is None:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    if any(c is None for c in color):
-        return None
-    part = [[i for i in range(G.n) if color[i] == c] for c in (0, 1)]
-    m, n = len(part[0]), len(part[1])
-    if m < 2 or n < 2:
-        return None
-    for x in part[0]:
-        for y in part[1]:
-            if not G.adjacency[x][y]:
-                return None
-    return tuple(sorted((m, n)))
+    """(m, n) with m <= n when G is K_{m,n}, else None.
+
+    G is complete bipartite exactly when the neighbourhoods N(v) take two
+    values: no v lies in its own N(v), so the vertices sharing one value
+    form the other value, and those two sets are the parts.
+    """
+    parts = {frozenset(G.neighbors(v)) for v in range(G.n)}
+    return tuple(sorted(map(len, parts))) if len(parts) == 2 else None
 
 
 def classify_shape(G: ZdGraph) -> GraphShape:

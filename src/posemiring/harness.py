@@ -295,29 +295,11 @@ def chk_l34b(ctx):
     return _pass()
 
 
-def _maximal_cliques(G):
-    cliques = []
-
-    def bron(r, p, x):
-        if not p and not x:
-            cliques.append(r)
-            return
-        for v in list(p):
-            nb = set(G.neighbors(v))
-            bron(r | {v}, p & nb, x & nb)
-            p = p - {v}
-            x = x | {v}
-
-    bron(set(), set(range(G.n)), set())
-    return cliques
-
-
 def chk_l34c(ctx):
     if not ctx.zset:
         return _na("Z(A) is empty")
     G = ctx.graph
     pos = {v: i for i, v in enumerate(G.vertices)}
-    cliques = _maximal_cliques(G)
     for u in sorted(ctx.ana.minimals):
         if u not in pos:
             return _fail(("not-a-vertex", u))
@@ -325,8 +307,8 @@ def chk_l34c(ctx):
         if ctx.metrics.eccentricity[i] > 2:
             return _fail(("eccentricity", u))
         nb = set(G.neighbors(i))
-        for K in cliques:
-            if len(K - nb) > 1:
+        for K in ctx.metrics.maximal_cliques:
+            if len(set(K) - nb) > 1:
                 return _fail(("clique-coverage", u,
                               sorted(G.vertices[w] for w in K)))
     return _pass()
@@ -832,12 +814,9 @@ def default_ring_corpus(max_zn: int = 64) -> list:
     return rings
 
 
-def full_corpus(census_max_n: int = 5, pair_max_n: int = 3,
-                with_rings: bool = False) -> Corpus:
+def full_corpus(census_max_n: int = 5, pair_max_n: int = 3) -> Corpus:
     corpus = census_corpus(census_max_n)
     grid = construction_grid()
     corpus.posemirings.extend(grid.posemirings)
     corpus.pairs.extend(census_pairs(pair_max_n))
-    if with_rings:
-        corpus.rings.extend(default_ring_corpus())
     return corpus

@@ -280,12 +280,12 @@ def ideal_semiring(R: FiniteRing):
 
 def annihilating_ideal_graph(R: FiniteRing) -> tuple[ZdGraph, GraphShape, PoSemiringTable]:
     table, _ = ideal_semiring(R)
-    graph = build_zdgraph(table.mul, source_kind="posemiring")
+    graph = build_zdgraph(table.mul)
     return graph, classify_shape(graph), table
 
 
 def ring_zdgraph(R: FiniteRing) -> tuple[ZdGraph, GraphShape]:
-    graph = build_zdgraph(R.mul, source_kind="ring")
+    graph = build_zdgraph(R.mul)
     return graph, classify_shape(graph)
 
 

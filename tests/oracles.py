@@ -1,14 +1,17 @@
-"""Brute-force references for the table-law kernels and census keys.
+"""Brute-force references for the table-law kernels, census keys and graphs.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
-full; the multiplication search fills one cell at a time.  Tests compare
-the package against them.
+full; the multiplication search fills one cell at a time; the graph metrics
+and shapes enumerate vertex subsets and bipartitions.  Tests compare the
+package against them.
 """
 
 import itertools
+import math
 
 from posemiring.core import AxiomReport, StructureError
+from posemiring.graphs import GraphMetrics, GraphShape
 
 
 def verify_axioms(A) -> AxiomReport:
@@ -163,3 +166,100 @@ def mul_backtrack(n, add):
         mul[x][y] = mul[y][x] = None
 
     yield from rec(0)
+
+
+def _subsets(n, k):
+    return itertools.combinations(range(n), k)
+
+
+def graph_metrics(G) -> GraphMetrics:
+    """graphs.graph_metrics with Floyd-Warshall distances, union-find
+    components, and girth, triangles, C4s and cliques over vertex subsets."""
+    n, adj = G.n, G.adjacency
+    if n == 0:
+        return GraphMetrics(diameter=None, girth=None, clique_number=0,
+                            component_count=0, eccentricity=(),
+                            triangle_free=True, quadrilateral_free=True,
+                            maximal_cliques=())
+    dist = [[0 if x == y else 1 if adj[x][y] else math.inf
+             for y in range(n)] for x in range(n)]
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                dist[x][y] = min(dist[x][y], dist[x][k] + dist[k][y])
+    ecc = tuple(max(row) for row in dist)
+
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x, y in _subsets(n, 2):
+        if adj[x][y]:
+            root[find(x)] = find(y)
+
+    def is_clique(S):
+        return all(adj[x][y] for x, y in itertools.combinations(S, 2))
+
+    def induced_cycle(S):
+        # a shortest cycle has no chord, so it is a connected 2-regular
+        # induced subgraph; S is connected when one vertex reaches it all
+        if any(sum(adj[x][y] for y in S) != 2 for x in S):
+            return False
+        reached = {S[0]}
+        for _ in S:
+            reached |= {y for x in reached for y in S if adj[x][y]}
+        return len(reached) == len(S)
+
+    cliques = [S for k in range(1, n + 1) for S in _subsets(n, k)
+               if is_clique(S)
+               and not any(all(adj[v][x] for x in S)
+                           for v in range(n) if v not in S)]
+    return GraphMetrics(
+        diameter=max(ecc),
+        girth=next((k for k in range(3, n + 1) for S in _subsets(n, k)
+                    if induced_cycle(S)), None),
+        clique_number=max(map(len, cliques)),
+        component_count=len({find(x) for x in range(n)}),
+        eccentricity=ecc,
+        triangle_free=not any(is_clique(S) for S in _subsets(n, 3)),
+        quadrilateral_free=not any(
+            all(adj[c[i]][c[(i + 1) % 4]] for i in range(4))
+            for S in _subsets(n, 4)
+            for c in ((S[0], S[1], S[2], S[3]), (S[0], S[1], S[3], S[2]),
+                      (S[0], S[2], S[1], S[3]))),
+        maximal_cliques=tuple(sorted(cliques)),
+    )
+
+
+def classify_shape(G) -> GraphShape:
+    """graphs.classify_shape under the same precedence, each shape tested
+    from its definition: K_{m,n} by trying every bipartition."""
+    m = graph_metrics(G)
+    n, adj = G.n, G.adjacency
+    edges = [(x, y) for x, y in _subsets(n, 2) if adj[x][y]]
+    if n <= 1:
+        return GraphShape("empty" if n == 0 else "single-vertex", (), m)
+    if len(edges) == n * (n - 1) // 2:
+        return GraphShape("complete", (n,), m)
+    if n >= 3 and any(sorted(edges) == [tuple(sorted((c, w)))
+                                        for w in range(n) if w != c]
+                      for c in range(n)):
+        return GraphShape("star", (n - 1,), m)
+    for u, v in edges:
+        rest = [w for w in range(n) if w not in (u, v)]
+        leaves = [{x for x in range(n) if adj[w][x]} for w in rest]
+        r = leaves.count({u})
+        if rest and r + leaves.count({v}) == len(rest) and 0 < r < len(rest):
+            return GraphShape("two-star", tuple(sorted((r, len(rest) - r))), m)
+    for k in range(2, n - 1):
+        for A in _subsets(n, k):
+            if all(adj[x][y] == ((x in A) != (y in A))
+                   for x, y in _subsets(n, 2)):
+                return GraphShape("complete-bipartite",
+                                  tuple(sorted((k, n - k))), m)
+    if m.girth is None:
+        return GraphShape("forest", (), m)
+    return GraphShape("cyclic", (), m)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from posemiring import constructions as cons
+from posemiring import harness
 from posemiring.cli import main
 from posemiring.core import parse_psr, to_text
 
@@ -87,6 +88,31 @@ class TestGraph:
         data = json.loads(out)
         assert data["shape"] == "star"
         assert data["vertices"] == 3
+
+
+    def test_json_pinned_on_construction_grid(self, tmp_path, capsys):
+        # sha256 over `graph --json` for every construction-grid instance
+        digest = hashlib.sha256()
+        for name, A in harness.construction_grid().posemirings:
+            code, out, _ = run(capsys, "graph",
+                               write_psr(tmp_path, f"{name}.psr", A), "--json")
+            assert code == 0
+            digest.update(f"{name}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "63cfe250efb5b5a1228876708372697303a90f88c1e3be8bda1372a4dd7455af")
+
+    def test_json_pinned_on_large_graphs(self, capsys):
+        # ring AG and zero-divisor graphs of up to 207 vertices, and the
+        # 62-vertex graph of {0,1}^6 (not a ring spec, so through `graph`)
+        digest = hashlib.sha256()
+        runs = [("ring", op, spec) for spec in ("zn:210", "prod(zn:12,zn:20)")
+                for op in ("ag", "zdgraph")] + [("graph", "bool:n=6")]
+        for argv in runs:
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0
+            digest.update(" ".join(argv).encode() + b"\n" + out.encode())
+        assert digest.hexdigest() == (
+            "81f809440102ed8bde50518ca7c15bd0309b783baf32433a4b46b10050c9ffc2")
 
 
 class TestConstructAndProduct:
