@@ -213,9 +213,12 @@ def cmd_enumerate(args):
 
 def cmd_ring(args):
     try:
-        R = ringlab.make_ring(args.spec)
+        return _ring_op(args, ringlab.make_ring(args.spec))
     except (StructureError, DomainError) as exc:
         raise CliError(f"{args.spec}: {exc}") from exc
+
+
+def _ring_op(args, R):
     if args.op == "ideals":
         rows = [{"name": ringlab.ideal_name(R, i), "size": len(i.members),
                  "members": sorted(i.members)} for i in R.ideals]

@@ -6,6 +6,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .core import (
     ORDER_CAP,
@@ -102,8 +104,8 @@ def ring_zn(n: int) -> FiniteRing:
     if not 2 <= n <= ORDER_CAP:
         raise DomainError(f"zn order must be in [2, {ORDER_CAP}]")
     names = [str(i) for i in range(n)]
-    add = [[(x + y) % n for y in range(n)] for x in range(n)]
-    mul = [[(x * y) % n for y in range(n)] for x in range(n)]
+    add = [tuple(range(x, n)) + tuple(range(x)) for x in range(n)]
+    mul = [tuple(x * y % n for y in range(n)) for x in range(n)]
     return _make_ring(n, names, add, mul, one=1 % n, check=False)
 
 
@@ -112,23 +114,30 @@ def _is_prime(p: int) -> bool:
 
 
 def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
-    """Z_p[x]/(x^2 + c1*x + c0); element a + b*x is index a*p + b."""
+    """Z_p[x]/(x^2 + c1*x + c0); element a + b*x is index a*p + b.
+
+    The additive group is Z_p x Z_p.  Multiplication by u = a + b*x sends
+    c + d*x to c*u + d*(u*x), where u*x = -b*c0 + (a - b*c1)*x, so u's row
+    is read off the add table from the multiples of u and of u*x.
+    """
     if p > ZPX_PRIME_CAP or not _is_prime(p):
         raise DomainError(f"zpx modulus must be a prime <= {ZPX_PRIME_CAP}")
     c1, c0 = c1 % p, c0 % p
     n = p * p
+    add = ring_product(ring_zn(p), ring_zn(p)).add
 
-    def add(x, y):
-        return ((x // p + y // p) % p) * p + (x % p + y % p) % p
+    def multiples(v):           # 0, v, 2v, ..., (p-1)v
+        out = [0]
+        for _ in range(p - 1):
+            out.append(add[out[-1]][v])
+        return out
 
-    def mul(x, y):
-        a, b = divmod(x, p)
-        c, d = divmod(y, p)
-        # x^2 = -(c1 x + c0)
-        const = (a * c - b * d * c0) % p
-        lin = (a * d + b * c - b * d * c1) % p
-        return const * p + lin
-
+    mul = []
+    for u in range(n):
+        a, b = divmod(u, p)
+        pick = itemgetter(*multiples(-b * c0 % p * p + (a - b * c1) % p))
+        mul.append(tuple(chain.from_iterable(
+            pick(add[cu]) for cu in multiples(u))))
     names = []
     for a in range(p):
         for b in range(p):
@@ -137,12 +146,15 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
             else:
                 bx = "x" if b == 1 else f"{b}x"
                 names.append(bx if a == 0 else f"{a}+{bx}")
-    addt = [[add(x, y) for y in range(n)] for x in range(n)]
-    mult = [[mul(x, y) for y in range(n)] for x in range(n)]
-    return _make_ring(n, names, addt, mult, one=p)
+    return _make_ring(n, names, add, mul, one=p)
 
 
 def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
+    """R x S with (a, b) at index a*|S| + b.
+
+    Row (a, b) of an operation is, for each u in R's row a, S's row b
+    shifted by u*|S|: the rows are joined from shifted copies of S's rows.
+    """
     ns = S.order
     n = R.order * ns
     if n > ORDER_CAP:
@@ -150,8 +162,10 @@ def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     names = [f"({a},{b})" for a in R.names for b in S.names]
 
     def op(ta, tb):
-        return [[ta[x // ns][y // ns] * ns + tb[x % ns][y % ns]
-                 for y in range(n)] for x in range(n)]
+        shifted = [[tuple(u * ns + v for v in row) for u in range(R.order)]
+                   for row in tb]
+        return [tuple(chain.from_iterable(map(sb.__getitem__, ra)))
+                for ra in ta for sb in shifted]
 
     return _make_ring(n, names, op(R.add, S.add), op(R.mul, S.mul),
                       one=R.one * ns + S.one, check=False)
@@ -219,11 +233,18 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
 
 
 def principal_ideal(R: FiniteRing, a: int) -> frozenset[int]:
-    return frozenset(R.mul[r][a] for r in R.elements())
+    """Ra, the values of a's row (multiplication is commutative)."""
+    return frozenset(R.mul[a])
 
 
 def ideal_sum(R: FiniteRing, I, J) -> frozenset[int]:
-    return frozenset(R.add[i][j] for i in I for j in J)
+    """I + J as the union of the cosets i + J, one per coset."""
+    out = set()
+    for i in I:
+        if i not in out:        # i + J is already in the union
+            row = R.add[i]
+            out.update(row[j] for j in J)
+    return frozenset(out)
 
 
 def enumerate_ring_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
@@ -248,10 +269,20 @@ def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
     return "{" + ",".join(R.names[x] for x in sorted(ideal.members)) + "}"
 
 
+def _mask(elements) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
 def ideal_semiring(R: FiniteRing):
     """The po-semiring I(R): ideal sum, ideal product, ordered by inclusion.
 
     I + J and IJ are the least ideals containing I | J and all products ij.
+    Ideals are bit masks over R.  Every ideal is the sum of the maximal
+    principal ideals inside it, so IJ is the least ideal containing every
+    gh, with g and h the least generators of those inside I and inside J.
     Returns (table, ideals) with ideals[i] the ideal at table index i.
     """
     ideals = R.ideals
@@ -264,13 +295,29 @@ def ideal_semiring(R: FiniteRing):
         while nm in names:
             nm += "'"
         names.append(nm)
+    masks = [_mask(i.members) for i in ideals]
+    principal = [(m, i.generators[0]) for m, i in zip(masks, ideals)
+                 if i.generators]
+    gens = []
+    for m, ideal in zip(masks, ideals):
+        if ideal.generators:
+            gens.append(ideal.generators)
+            continue
+        inside = [(p, g) for p, g in principal if p & m == p]
+        gens.append(tuple(g for p, g in inside
+                          if not any(p & q == p != q for q, _ in inside)))
 
-    def least(elems):       # ideals ascend by size: the first is the least
-        return next(pos for pos, i in enumerate(ideals) if elems <= i.members)
+    def least(mask, start=0):   # ideals ascend by size: the first is the least
+        return next(pos for pos in range(start, k)
+                    if mask & masks[pos] == mask)
 
-    add = [[least(a.members | b.members) for b in ideals] for a in ideals]
-    mul = [[least({R.mul[x][y] for x in a.members for y in b.members})
-            for b in ideals] for a in ideals]
+    add = [[0] * k for _ in range(k)]
+    mul = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):   # I + J contains J, so it is listed from b on
+            add[a][b] = add[b][a] = least(masks[a] | masks[b], b)
+            mul[a][b] = mul[b][a] = least(_mask(
+                R.mul[g][h] for g in gens[a] for h in gens[b]))
     table = make_table(k, names, add, mul)
     report = verify_axioms(table)
     if not report.valid:
@@ -301,15 +348,16 @@ class RadicalReport:
 
 
 def nilpotents(R: FiniteRing) -> frozenset[int]:
-    out = set()
-    for x in R.elements():
-        p = x
-        for _ in range(R.order):
-            if p == 0:
-                out.add(x)
-                break
-            p = R.mul[p][x]
-    return frozenset(out)
+    """The x with x^(2^s) = 0, for the least s with 2^s >= floor(log2 |R|).
+
+    A nilpotent x of index m gives the strict chain R > (x) > ... > (x^m) = 0
+    of additive subgroups, each of index at least 2, so m <= log2 |R|.
+    """
+    square = [row[x] for x, row in enumerate(R.mul)]
+    power = list(R.elements())
+    for _ in range((R.order.bit_length() - 2).bit_length()):
+        power = [square[v] for v in power]
+    return frozenset(x for x, v in enumerate(power) if v == 0)
 
 
 def maximal_ideals(R: FiniteRing) -> list[Ideal]:

@@ -1,16 +1,18 @@
-"""Brute-force references for the table-law kernels, census keys and graphs.
+"""Brute-force references for the table-law kernels, census keys, graphs
+and the ring ideal layer.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
 full; the multiplication search fills one cell at a time; the graph metrics
-and shapes enumerate vertex subsets and bipartitions.  Tests compare the
-package against them.
+and shapes enumerate vertex subsets and bipartitions; ring tables are filled
+cell by cell, ideal sums and products take every pair of members, and
+nilpotency takes every power.  Tests compare the package against them.
 """
 
 import itertools
 import math
 
-from posemiring.core import AxiomReport, StructureError
+from posemiring.core import AxiomReport, StructureError, make_table
 from posemiring.graphs import GraphMetrics, GraphShape
 
 
@@ -64,6 +66,99 @@ def check_ring(R):
                     raise StructureError("multiplication is not associative")
                 if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
                     raise StructureError("distributivity fails")
+
+
+def zn_tables(n):
+    """ringlab.ring_zn's (add, mul) cell by cell."""
+    return ([[(x + y) % n for y in range(n)] for x in range(n)],
+            [[(x * y) % n for y in range(n)] for x in range(n)])
+
+
+def quadratic_tables(p, c1, c0):
+    """ringlab.ring_quadratic's (add, mul) cell by cell, a + b*x at a*p + b."""
+    n = p * p
+
+    def mul(x, y):
+        a, b = divmod(x, p)
+        c, d = divmod(y, p)
+        # x^2 = -(c1 x + c0)
+        return ((a * c - b * d * c0) % p * p
+                + (a * d + b * c - b * d * c1) % p)
+
+    return ([[((x // p + y // p) % p) * p + (x % p + y % p) % p
+              for y in range(n)] for x in range(n)],
+            [[mul(x, y) for y in range(n)] for x in range(n)])
+
+
+def product_tables(r, s):
+    """ringlab.ring_product's (add, mul) from the factors' (add, mul)."""
+    ns, n = len(s[0]), len(r[0]) * len(s[0])
+    return tuple([[tr[x // ns][y // ns] * ns + ts[x % ns][y % ns]
+                   for y in range(n)] for x in range(n)]
+                 for tr, ts in zip(r, s))
+
+
+def principal_ideal(R, a):
+    """ringlab.principal_ideal as the column {ra : r in R}."""
+    return frozenset(R.mul[r][a] for r in R.elements())
+
+
+def _ideal_sum(R, I, J):
+    return frozenset(R.add[i][j] for i in I for j in J)
+
+
+def ring_ideals(R):
+    """ringlab.enumerate_ring_ideals as (members, generators) pairs: the
+    principal ideals closed under sums taken over every pair of members."""
+    generator = {}
+    for a in reversed(R.elements()):
+        generator[principal_ideal(R, a)] = a
+    family = set(generator)
+    pending, done = list(family), []
+    while pending:
+        I = pending.pop()
+        for J in done:
+            K = _ideal_sum(R, I, J)
+            if K not in family:
+                family.add(K)
+                pending.append(K)
+        done.append(I)
+    family = sorted(family, key=lambda m: (len(m), sorted(m)))
+    return [(m, (generator[m],) if m in generator else ()) for m in family]
+
+
+def ideal_semiring(R):
+    """ringlab.ideal_semiring's table, with IJ built from every product xy
+    of members and each ideal named by its least generator or its members."""
+    ideals = ring_ideals(R)
+    names = []
+    for members, gens in ideals:
+        nm = (f"({R.names[gens[0]]})" if gens else
+              "{" + ",".join(R.names[x] for x in sorted(members)) + "}")
+        while nm in names:
+            nm += "'"
+        names.append(nm)
+
+    def least(elems):
+        return next(pos for pos, (m, _) in enumerate(ideals) if elems <= m)
+
+    add = [[least(a | b) for b, _ in ideals] for a, _ in ideals]
+    mul = [[least({R.mul[x][y] for x in a for y in b}) for b, _ in ideals]
+           for a, _ in ideals]
+    return make_table(len(ideals), names, add, mul)
+
+
+def nilpotents(R):
+    """ringlab.nilpotents by taking x, x^2, ..., x^|R|."""
+    out = set()
+    for x in R.elements():
+        p = x
+        for _ in range(R.order):
+            if p == 0:
+                out.add(x)
+                break
+            p = R.mul[p][x]
+    return frozenset(out)
 
 
 def join_table(below):

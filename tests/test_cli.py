@@ -234,6 +234,20 @@ class TestRing:
         code, _, err = run(capsys, "ring", "ideals", "zn:huge")
         assert code == 2
 
+    def test_outputs_pinned_on_default_rings(self, capsys):
+        # sha256 over `ring ideals --json`, `ring semiring` and
+        # `ring radicals --json` for every rings:default spec
+        digest = hashlib.sha256()
+        for spec, _ in harness.default_ring_corpus():
+            for argv in (("ring", "ideals", spec, "--json"),
+                         ("ring", "semiring", spec),
+                         ("ring", "radicals", spec, "--json")):
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                digest.update(" ".join(argv).encode() + b"\n" + out.encode())
+        assert digest.hexdigest() == (
+            "45d5331f8da1b648b436e5a3d13e21f2e4b0f192eff0ed3dc0937c8ec09e0ffb")
+
 
 class TestTheorems:
     def test_census_corpus_passes(self, capsys):
@@ -271,6 +285,13 @@ class TestTheorems:
         }
         assert {check: (got[check, "pass"], got[check, "not-applicable"])
                 for check, _ in got} == want
+
+    def test_rings_default_report_pinned(self, capsys):
+        code, out, _ = run(capsys, "theorems", "--corpus", "rings:default",
+                           "--report", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e46443b489d2a903b5b4ed4dd677f64b3a2d952070e3f08882b8a18b86ee10b5")
 
     def test_check_selection(self, capsys):
         code, out, _ = run(capsys, "theorems", "--corpus", "census:2",
@@ -379,6 +400,12 @@ class TestBoundedInputs:
         err = self.check(capsys, "ring", "ideals", f"file:{path}",
                          prefix=f"error: file:{path}: ")
         assert "257" in err
+
+    @pytest.mark.parametrize("op", ["semiring", "ag"])
+    def test_over_cap_ideal_count(self, capsys, op):
+        spec = "prod(zn:2," * 6 + "zn:2" + ")" * 6      # F_2^7, 128 ideals
+        err = self.check(capsys, "ring", op, spec, prefix=f"error: {spec}: ")
+        assert "128 ideals exceed cap 64" in err
 
 
 def test_ring_radicals_enumerates_ideals_once(monkeypatch, capsys):

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from posemiring import constructions as cons
-from posemiring import ringlab
+from posemiring import harness, ringlab
 from posemiring.core import (
     ORDER_CAP,
     DomainError,
@@ -29,6 +32,43 @@ def brute_force_ring_ideals(R):
                 continue
             found.add(frozenset(s))
     return found
+
+
+def monomial_ring_text(p, basis):
+    """F_p[x,y] modulo every monomial outside basis, as `ring 1` text.
+
+    basis lists exponent pairs (i, j) closed under division, starting with
+    (0, 0); the element with coefficient vector v has index sum v_k p^(K-1-k).
+    """
+    pos = {m: k for k, m in enumerate(basis)}
+    vecs = list(itertools.product(range(p), repeat=len(basis)))
+    index = {v: k for k, v in enumerate(vecs)}
+
+    def mul(u, v):
+        w = [0] * len(basis)
+        for (i, j), a in zip(basis, u):
+            for (k, l), b in zip(basis, v):
+                if (i + k, j + l) in pos:
+                    w[pos[i + k, j + l]] = (w[pos[i + k, j + l]] + a * b) % p
+        return index[tuple(w)]
+
+    def name(v):
+        terms = [("" if c == 1 and i + j else str(c)) + "x" * i + "y" * j
+                 for c, (i, j) in zip(v, basis) if c]
+        return "+".join(terms) or "0"
+
+    add = [[index[tuple((a + b) % p for a, b in zip(u, v))] for v in vecs]
+           for u in vecs]
+    one = index[(1,) + (0,) * (len(basis) - 1)]
+    lines = ["ring 1", f"order {len(vecs)}", f"one {one}",
+             "names " + " ".join(map(name, vecs)), "add"]
+    lines += [" ".join(map(str, row)) for row in add] + ["mul"]
+    lines += [" ".join(str(mul(u, v)) for v in vecs) for u in vecs]
+    return "\n".join(lines) + "\n"
+
+
+MAXIMAL_SQUARE_ZERO = ((0, 0), (1, 0), (0, 1))      # F_p[x,y]/(x^2,xy,y^2)
+DUAL_SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))      # F_p[x,y]/(x^2,y^2)
 
 
 class TestRingConstruction:
@@ -259,3 +299,107 @@ class TestRingFileBounds:
             "add\n0 1\n", "add\n0 2\n")
         with pytest.raises(StructureError, match="add"):
             ringlab.parse_ring_file(text)
+
+
+# ---------------------------------------------------------------------------
+# The ideal layer against the pairwise loops in tests/oracles.py
+
+LARGE_RINGS = ("zn:210", "prod(zn:16,zn:16)", "prod(zn:12,zn:20)",
+               "prod(zn:8,zn:32)", "prod(prod(zn:4,zn:4),zn:16)",
+               "prod(zpx:3:0:0,zn:27)")
+
+
+def assert_ideal_layer_matches_oracles(R):
+    assert [(i.members, i.generators) for i in R.ideals] == \
+        oracles.ring_ideals(R)
+    assert all(ringlab.principal_ideal(R, a) == oracles.principal_ideal(R, a)
+               for a in R.elements())
+    assert ringlab.nilpotents(R) == oracles.nilpotents(R)
+    table, _ = ringlab.ideal_semiring(R)
+    assert table == oracles.ideal_semiring(R)
+
+
+class TestIdealLayerOracles:
+    def test_default_ring_corpus(self):
+        for _, R in harness.default_ring_corpus():
+            assert_ideal_layer_matches_oracles(R)
+
+    @pytest.mark.parametrize("spec", LARGE_RINGS)
+    def test_large_rings(self, spec):
+        assert_ideal_layer_matches_oracles(ringlab.make_ring(spec))
+
+    @pytest.mark.parametrize("p,basis", [(2, MAXIMAL_SQUARE_ZERO),
+                                         (3, MAXIMAL_SQUARE_ZERO),
+                                         (5, MAXIMAL_SQUARE_ZERO),
+                                         (2, DUAL_SQUARE), (3, DUAL_SQUARE)],
+                             ids=["xy2", "xy3", "xy5", "dual2", "dual3"])
+    def test_non_principal_rings(self, p, basis):
+        R = ringlab.parse_ring_file(monomial_ring_text(p, basis))
+        assert_ideal_layer_matches_oracles(R)
+
+
+ring_trees = st.recursive(
+    st.one_of(st.integers(2, 32).map(lambda n: ("zn", n)),
+              st.tuples(st.just("zpx"), st.sampled_from((2, 3, 5)),
+                        st.integers(0, 4), st.integers(0, 4))),
+    lambda trees: st.tuples(st.just("prod"), trees, trees), max_leaves=3)
+
+
+def tree_order(t):
+    return (tree_order(t[1]) * tree_order(t[2]) if t[0] == "prod"
+            else t[1] if t[0] == "zn" else t[1] ** 2)
+
+
+def tree_spec(t):
+    if t[0] == "prod":
+        return f"prod({tree_spec(t[1])},{tree_spec(t[2])})"
+    return ":".join(map(str, t))
+
+
+def tree_tables(t):
+    if t[0] == "prod":
+        return oracles.product_tables(tree_tables(t[1]), tree_tables(t[2]))
+    return (oracles.zn_tables(t[1]) if t[0] == "zn"
+            else oracles.quadratic_tables(*t[1:]))
+
+
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(ring_trees.filter(lambda t: tree_order(t) <= ORDER_CAP))
+def test_product_rings_match_oracles(tree):
+    R = ringlab.make_ring(tree_spec(tree))
+    assert (R.add, R.mul) == tuple(tuple(map(tuple, op))
+                                   for op in tree_tables(tree))
+    assert_ideal_layer_matches_oracles(R)
+
+
+class TestNonPrincipalLocalRings:
+    """F_p[x,y]/(x^2,xy,y^2): the maximal ideal m = (x,y) is not principal;
+    the other ideals are 0, R and the p + 1 lines of m."""
+
+    @pytest.fixture(params=[2, 3], ids=["p2", "p3"])
+    def ring(self, request):
+        p = request.param
+        return p, ringlab.parse_ring_file(
+            monomial_ring_text(p, MAXIMAL_SQUARE_ZERO))
+
+    def test_ideals(self, ring):
+        p, R = ring
+        assert R.order == p ** 3
+        assert len(R.ideals) == p + 4
+        (m,) = [i for i in R.ideals if not i.generators]
+        assert m.members == frozenset(range(p * p))   # constant term 0
+
+    def test_maximal_ideal_squares_to_zero(self, ring):
+        _, R = ring
+        table, ideals = ringlab.ideal_semiring(R)
+        m = next(k for k, i in enumerate(ideals) if not i.generators)
+        assert table.mul[m][m] == 0 and ideals[0].members == {0}
+
+    def test_ring_checks_pass(self, ring):
+        _, R = ring
+        corpus = harness.Corpus(rings=[("R", R)])
+        report = harness.run_catalog(
+            corpus, check_ids=["Prop1.2", "C2.5", "C2.8", "C4.4"])
+        assert len(report.results) == 4 and not report.failures
