@@ -259,6 +259,9 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
             max_n = int(spec[len("census:"):])
         except ValueError:
             raise CliError(f"bad corpus spec {spec!r}") from None
+        if not 2 <= max_n <= census_mod.FAST_CAP:
+            raise CliError(f"{spec}: census order must be in "
+                           f"[2, {census_mod.FAST_CAP}], got {max_n}")
         return harness.full_corpus(max_n, min(max_n, 3))
     if spec.startswith("files:"):
         directory = spec[len("files:"):]

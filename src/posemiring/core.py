@@ -8,6 +8,7 @@ never stored: x <= y holds exactly when add[x][y] == y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 #: largest table order: psr files, constructions, I(R), sub-instances and
@@ -69,6 +70,20 @@ class PoSemiringTable:
 
     def name(self, x: int) -> str:
         return self.names[x]
+
+    @cached_property
+    def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """splits[x]: every (w, v) of idempotents with wv = 0 and w + v = x,
+        ascending.  Complements, primitive idempotents, (C1)-(C3) and
+        primitive decompositions are all read from this one index."""
+        idem = [x for x in range(self.order) if self.mul[x][x] == x]
+        found = [[] for _ in range(self.order)]
+        for w in idem:
+            add_w, mul_w = self.add[w], self.mul[w]
+            for v in idem:
+                if mul_w[v] == 0:
+                    found[add_w[v]].append((w, v))
+        return tuple(map(tuple, found))
 
     def __repr__(self):
         return f"PoSemiringTable(order={self.order}, names={list(self.names)})"
@@ -325,19 +340,17 @@ def zero_divisors(A: PoSemiringTable) -> frozenset[int]:
                      if any(A.mul[x][y] == 0 for y in A.nonzero()))
 
 
+def _proper_split(A: PoSemiringTable, x: int):
+    """Least (w, v) in A.splits[x] with w, v outside {0, x}, or None.
+
+    Excluding x keeps every split strictly below x on any table; on a valid
+    table w, v != 0 already forces it."""
+    return next((p for p in A.splits[x] if 0 not in p and x not in p), None)
+
+
 def is_primitive_idempotent(A: PoSemiringTable, e: int) -> bool:
     """Nonzero idempotent not a sum of two orthogonal nontrivial idempotents."""
-    if e == 0 or not is_idempotent(A, e):
-        return False
-    for w in A.nonzero():
-        if w == e or not is_idempotent(A, w):
-            continue
-        for v in A.nonzero():
-            if v == e or not is_idempotent(A, v):
-                continue
-            if A.mul[w][v] == 0 and A.add[w][v] == e:
-                return False
-    return True
+    return e != 0 and is_idempotent(A, e) and _proper_split(A, e) is None
 
 
 def analyze_elements(A: PoSemiringTable) -> ElementAnalysis:
@@ -469,9 +482,7 @@ def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
 def orthogonal_complements(A: PoSemiringTable, w: int) -> tuple[int, ...]:
     if w == 0 or not is_idempotent(A, w):
         raise DomainError(f"element {w} is not a nonzero idempotent")
-    return tuple(v for v in A.elements()
-                 if A.mul[v][v] == v and A.add[w][v] == A.one
-                 and A.mul[w][v] == 0)
+    return tuple(v for x, v in A.splits[A.one] if x == w)
 
 
 def orthogonal_complement(A: PoSemiringTable, w: int) -> int | None:
@@ -488,59 +499,26 @@ class ConditionReport:
     witnesses: dict[str, dict[int, tuple[int, int]]] = field(hash=False)
 
 
-def _dominated_complemented_idempotent(A: PoSemiringTable, u: int):
-    """Least (w, v): w nonzero idempotent <= u with orthogonal complement v."""
-    for w in A.nonzero():
-        if not (is_idempotent(A, w) and A.leq(w, u)):
-            continue
-        for v in A.elements():
-            if (A.mul[v][v] == v and A.add[w][v] == A.one
-                    and A.mul[w][v] == 0):
-                return (w, v)
-    return None
-
-
 def check_conditions(A: PoSemiringTable) -> ConditionReport:
+    """(C1) over the non-nilpotent, (C2) over the idempotent and (C3) over
+    the minimal idempotent nonzero elements u: each u needs a nonzero
+    idempotent w <= u with an orthogonal complement v, witnessed by the
+    least such (w, v).  Below a minimal u the only candidate w is u."""
+    c1 = [u for u in A.nonzero() if nilpotency_index(A, u) is None]
+    c2 = [u for u in A.nonzero() if is_idempotent(A, u)]
+    c3 = [u for u in c2 if is_minimal_element(A, u)]
+    complemented = [p for p in A.splits[A.one] if p[0] != 0]
     cex = {}
     wit = {"c1": {}, "c2": {}, "c3": {}}
-
-    c1 = True
-    for u in A.nonzero():
-        if nilpotency_index(A, u) is not None:
-            continue
-        pair = _dominated_complemented_idempotent(A, u)
-        if pair is None:
-            if c1:
-                c1 = False
-                cex["c1"] = u
-        else:
-            wit["c1"][u] = pair
-
-    c2 = True
-    for u in A.nonzero():
-        if not is_idempotent(A, u):
-            continue
-        pair = _dominated_complemented_idempotent(A, u)
-        if pair is None:
-            if c2:
-                c2 = False
-                cex["c2"] = u
-        else:
-            wit["c2"][u] = pair
-
-    c3 = True
-    for u in A.nonzero():
-        if not (is_idempotent(A, u) and is_minimal_element(A, u)):
-            continue
-        v = orthogonal_complement(A, u)
-        if v is None:
-            if c3:
-                c3 = False
-                cex["c3"] = u
-        else:
-            wit["c3"][u] = (u, v)
-
-    return ConditionReport(c1=c1, c2=c2, c3=c3, counterexamples=cex,
+    for key, family in (("c1", c1), ("c2", c2), ("c3", c3)):
+        for u in family:
+            pair = next((p for p in complemented if A.leq(p[0], u)), None)
+            if pair is None:
+                cex.setdefault(key, u)
+            else:
+                wit[key][u] = pair
+    return ConditionReport(c1="c1" not in cex, c2="c2" not in cex,
+                           c3="c3" not in cex, counterexamples=cex,
                            witnesses=wit)
 
 
@@ -556,25 +534,15 @@ def primitive_decomposition(A: PoSemiringTable, e: int) -> tuple[int, ...]:
 def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
     """primitive_decomposition without its checks, for callers that know
     e is a nonzero idempotent and that (C2) holds."""
-
-    def split(x):
-        for w in A.nonzero():
-            if w == x or not is_idempotent(A, w):
-                continue
-            for v in A.nonzero():
-                if (v != x and is_idempotent(A, v)
-                        and A.mul[w][v] == 0 and A.add[w][v] == x):
-                    return (w, v)
-        return None
-
-    def rec(x):
-        pair = split(x)
+    parts, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        pair = _proper_split(A, x)
         if pair is None:
-            return [x]
-        w, v = pair
-        return rec(w) + rec(v)
-
-    return tuple(sorted(rec(e)))
+            parts.append(x)
+        else:
+            stack.extend(pair)
+    return tuple(sorted(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -623,42 +591,46 @@ def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
 
     perm = [None] * n
     perm[0], perm[n - 1] = 0, n - 1
-    used = {0, n - 1}
-    middle = list(range(1, n - 1))
-
-    def consistent(i):
-        for x in range(n):
-            if perm[x] is None:
-                continue
-            for (s, t) in ((i, x), (x, i)):
-                for op_a, op_b in ((A.add, B.add), (A.mul, B.mul)):
-                    img = op_b[perm[s]][perm[t]]
-                    val = op_a[s][t]
-                    if perm[val] is not None:
-                        if perm[val] != img:
-                            return False
-                    elif img in used:
-                        return False
-        return True
-
-    def rec(k):
-        if k == len(middle):
-            return _transports(A, B, perm)
-        i = middle[k]
-        for j in range(1, n - 1):
-            if j in used or inv_b[j] != inv_a[i]:
-                continue
-            perm[i] = j
-            used.add(j)
-            if consistent(i) and rec(k + 1):
-                return True
-            perm[i] = None
-            used.discard(j)
-        return False
-
-    if rec(0):
+    if _extend(A, B, inv_a, inv_b, perm, {0, n - 1}, 1):
         return tuple(perm)
     return None
+
+
+def _consistent(A, B, perm, used, i) -> bool:
+    """No assigned pair (i, x) or (x, i) contradicts perm being a bijection
+    that transports both tables."""
+    for x in range(A.order):
+        if perm[x] is None:
+            continue
+        for (s, t) in ((i, x), (x, i)):
+            for op_a, op_b in ((A.add, B.add), (A.mul, B.mul)):
+                img = op_b[perm[s]][perm[t]]
+                val = op_a[s][t]
+                if perm[val] is not None:
+                    if perm[val] != img:
+                        return False
+                elif img in used:
+                    return False
+    return True
+
+
+def _extend(A, B, inv_a, inv_b, perm, used, i) -> bool:
+    """Assign perm[i], perm[i + 1], ... up to n - 2 by backtracking over
+    images with the same invariant vector; True once perm transports."""
+    n = A.order
+    if i == n - 1:
+        return _transports(A, B, perm)
+    for j in range(1, n - 1):
+        if j in used or inv_b[j] != inv_a[i]:
+            continue
+        perm[i] = j
+        used.add(j)
+        if (_consistent(A, B, perm, used, i)
+                and _extend(A, B, inv_a, inv_b, perm, used, i + 1)):
+            return True
+        perm[i] = None
+        used.discard(j)
+    return False
 
 
 # ---------------------------------------------------------------------------

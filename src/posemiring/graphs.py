@@ -96,20 +96,22 @@ def _maximal_cliques(masks):
     its sorted vertex positions, and the list is sorted.
     """
     cliques = []
-
-    def expand(clique, p, x):
-        if not p:
-            if not x:
-                cliques.append(tuple(_members(clique)))
-            return
-        pivot = max(_members(p | x), key=lambda u: (masks[u] & p).bit_count())
-        for v in _members(p & ~masks[pivot]):
-            expand(clique | 1 << v, p & masks[v], x & masks[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, (1 << len(masks)) - 1, 0)
+    _expand(masks, cliques, 0, (1 << len(masks)) - 1, 0)
     return tuple(sorted(cliques))
+
+
+def _expand(masks, cliques, clique, p, x):
+    """Append to cliques every maximal clique that extends the clique bit
+    set by vertices of p and by none of x."""
+    if not p:
+        if not x:
+            cliques.append(tuple(_members(clique)))
+        return
+    pivot = max(_members(p | x), key=lambda u: (masks[u] & p).bit_count())
+    for v in _members(p & ~masks[pivot]):
+        _expand(masks, cliques, clique | 1 << v, p & masks[v], x & masks[v])
+        p &= ~(1 << v)
+        x |= 1 << v
 
 
 def _members(mask: int):

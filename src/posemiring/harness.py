@@ -150,9 +150,7 @@ def chk_p21b(ctx):
 
 def chk_p21c(ctx):
     A = ctx.A
-    pairs = [(e, f) for e in A.elements() for f in A.elements()
-             if A.mul[e][e] == e and A.mul[f][f] == f
-             and A.add[e][f] == A.one and A.mul[e][f] == 0]
+    pairs = A.splits[A.one]
     for e1, f1 in pairs:
         for e2, f2 in pairs:
             if A.lt(e2, e1) and not A.lt(f1, f2):
@@ -177,9 +175,7 @@ def chk_t22_tail(ctx):
     if not _chain_hypotheses(ctx):
         return _na("neither (C1) nor (C2) holds")
     A = ctx.A
-    complemented = [e for e in A.nonzero()
-                    if e != A.one and is_idempotent(A, e)
-                    and orthogonal_complement(A, e) is not None]
+    complemented = {e for e, _ in A.splits[A.one]} - {0, A.one}
     for c in A.nonzero():
         if c == A.one or c in ctx.ana.nilpotency:
             continue

@@ -221,7 +221,12 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
         path = spec[5:]
         if read_file is None:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise StructureError(
+                        f"{path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from exc
         else:
             text = read_file(path)
         return parse_ring_file(text)

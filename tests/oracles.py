@@ -1,18 +1,29 @@
-"""Brute-force references for the table-law kernels, census keys, graphs
-and the ring ideal layer.
+"""Brute-force references for the table-law kernels, census keys, graphs,
+the ring ideal layer and the orthogonal-idempotent index.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
 full; the multiplication search fills one cell at a time; the graph metrics
 and shapes enumerate vertex subsets and bipartitions; ring tables are filled
 cell by cell, ideal sums and products take every pair of members, and
-nilpotency takes every power.  Tests compare the package against them.
+nilpotency takes every power; complements, primitive idempotents, (C1)-(C3)
+and primitive decompositions scan every pair of elements.  Tests compare the
+package against them.
 """
 
 import itertools
 import math
 
-from posemiring.core import AxiomReport, StructureError, make_table
+from posemiring import harness
+from posemiring.core import (
+    AxiomReport,
+    ConditionReport,
+    StructureError,
+    is_idempotent,
+    is_minimal_element,
+    make_table,
+    nilpotency_index,
+)
 from posemiring.graphs import GraphMetrics, GraphShape
 
 
@@ -358,3 +369,154 @@ def classify_shape(G) -> GraphShape:
     if m.girth is None:
         return GraphShape("forest", (), m)
     return GraphShape("cyclic", (), m)
+
+
+# ---------------------------------------------------------------------------
+# Orthogonal idempotents: pair scans in place of PoSemiringTable.splits
+
+
+def splits(A):
+    """PoSemiringTable.splits by scanning every pair for each x."""
+    idem = [x for x in A.elements() if A.mul[x][x] == x]
+    return tuple(tuple((w, v) for w in idem for v in idem
+                       if A.mul[w][v] == 0 and A.add[w][v] == x)
+                 for x in A.elements())
+
+
+def is_primitive_idempotent(A, e):
+    """core.is_primitive_idempotent over every pair of nonzero elements."""
+    if e == 0 or not is_idempotent(A, e):
+        return False
+    for w in A.nonzero():
+        if w == e or not is_idempotent(A, w):
+            continue
+        for v in A.nonzero():
+            if v == e or not is_idempotent(A, v):
+                continue
+            if A.mul[w][v] == 0 and A.add[w][v] == e:
+                return False
+    return True
+
+
+def orthogonal_complements(A, w):
+    """core.orthogonal_complements by scanning every element."""
+    return tuple(v for v in A.elements()
+                 if A.mul[v][v] == v and A.add[w][v] == A.one
+                 and A.mul[w][v] == 0)
+
+
+def _dominated_complemented_idempotent(A, u):
+    """Least (w, v): w nonzero idempotent <= u with orthogonal complement v."""
+    for w in A.nonzero():
+        if not (is_idempotent(A, w) and A.leq(w, u)):
+            continue
+        for v in A.elements():
+            if (A.mul[v][v] == v and A.add[w][v] == A.one
+                    and A.mul[w][v] == 0):
+                return (w, v)
+    return None
+
+
+def check_conditions(A):
+    """core.check_conditions as one pair scan per element of each family."""
+    cex = {}
+    wit = {"c1": {}, "c2": {}, "c3": {}}
+
+    c1 = True
+    for u in A.nonzero():
+        if nilpotency_index(A, u) is not None:
+            continue
+        pair = _dominated_complemented_idempotent(A, u)
+        if pair is None:
+            if c1:
+                c1 = False
+                cex["c1"] = u
+        else:
+            wit["c1"][u] = pair
+
+    c2 = True
+    for u in A.nonzero():
+        if not is_idempotent(A, u):
+            continue
+        pair = _dominated_complemented_idempotent(A, u)
+        if pair is None:
+            if c2:
+                c2 = False
+                cex["c2"] = u
+        else:
+            wit["c2"][u] = pair
+
+    c3 = True
+    for u in A.nonzero():
+        if not (is_idempotent(A, u) and is_minimal_element(A, u)):
+            continue
+        cs = orthogonal_complements(A, u)
+        if not cs:
+            if c3:
+                c3 = False
+                cex["c3"] = u
+        else:
+            wit["c3"][u] = (u, cs[0])
+
+    return ConditionReport(c1=c1, c2=c2, c3=c3, counterexamples=cex,
+                           witnesses=wit)
+
+
+def primitive_parts(A, e):
+    """core._primitive_parts, splitting x along its least pair of nonzero
+    idempotents other than x found by a pair scan."""
+
+    def split(x):
+        for w in A.nonzero():
+            if w == x or not is_idempotent(A, w):
+                continue
+            for v in A.nonzero():
+                if (v != x and is_idempotent(A, v)
+                        and A.mul[w][v] == 0 and A.add[w][v] == x):
+                    return (w, v)
+        return None
+
+    def rec(x):
+        pair = split(x)
+        if pair is None:
+            return [x]
+        w, v = pair
+        return rec(w) + rec(v)
+
+    return tuple(sorted(rec(e)))
+
+
+def chk_p21c(ctx):
+    """harness.chk_p21c with its complement pairs found by a pair scan."""
+    A = ctx.A
+    pairs = [(e, f) for e in A.elements() for f in A.elements()
+             if A.mul[e][e] == e and A.mul[f][f] == f
+             and A.add[e][f] == A.one and A.mul[e][f] == 0]
+    for e1, f1 in pairs:
+        for e2, f2 in pairs:
+            if A.lt(e2, e1) and not A.lt(f1, f2):
+                return harness._fail((e1, f1, e2, f2))
+    return harness._pass()
+
+
+def chk_t22_tail(ctx):
+    """harness.chk_t22_tail with its complemented idempotents found by
+    scanning every element for a complement."""
+    if not harness._chain_hypotheses(ctx):
+        return harness._na("neither (C1) nor (C2) holds")
+    A = ctx.A
+    complemented = [e for e in A.nonzero()
+                    if e != A.one and is_idempotent(A, e)
+                    and orthogonal_complements(A, e)]
+    for c in A.nonzero():
+        if c == A.one or c in ctx.ana.nilpotency:
+            continue
+        found = False
+        for k in range(1, A.order + 1):
+            p = A.power(c, k)
+            if any(A.mul[p][e] == p for e in complemented):
+                found = True
+                break
+        if not found:
+            return harness._fail(c)
+    return harness._pass()

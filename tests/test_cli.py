@@ -401,6 +401,19 @@ class TestBoundedInputs:
                          prefix=f"error: file:{path}: ")
         assert "257" in err
 
+    def test_non_utf8_ring_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ring"
+        path.write_bytes("ring 1\n# r\xe9sum\xe9\n".encode("latin-1"))
+        err = self.check(capsys, "ring", "ideals", f"file:{path}",
+                         prefix=f"error: file:{path}: ")
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("spec", ["census:1", "census:9"])
+    def test_census_corpus_out_of_range(self, capsys, spec):
+        err = self.check(capsys, "theorems", "--corpus", spec,
+                         prefix=f"error: {spec}: ")
+        assert "[2, 8]" in err
+
     @pytest.mark.parametrize("op", ["semiring", "ag"])
     def test_over_cap_ideal_count(self, capsys, op):
         spec = "prod(zn:2," * 6 + "zn:2" + ")" * 6      # F_2^7, 128 ideals

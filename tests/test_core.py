@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
+from posemiring.census import enumerate_posemirings
 from posemiring.core import (
     DomainError,
     NotApplicableError,
@@ -22,6 +24,7 @@ from posemiring.core import (
     make_table,
     nilpotency_index,
     orthogonal_complement,
+    orthogonal_complements,
     parse_psr,
     primitive_decomposition,
     replay_violation,
@@ -307,6 +310,58 @@ class TestPrimeKernels:
         for A in instances:
             for ideal in enumerate_ideals(A):
                 assert ideal.prime == prime_ideal_oracle(A, ideal.members)
+
+
+def assert_idempotent_index_matches_oracles(A):
+    """Everything read from A.splits against the pair scans it replaced."""
+    assert A.splits == oracles.splits(A)
+    ana = analyze_elements(A)
+    assert ana.primitive_idempotents == frozenset(
+        e for e in ana.idempotents if oracles.is_primitive_idempotent(A, e))
+    cond = check_conditions(A)
+    want = oracles.check_conditions(A)
+    assert cond == want
+    assert cond.counterexamples == want.counterexamples
+    assert cond.witnesses == want.witnesses
+    for w in ana.idempotents:
+        assert orthogonal_complements(A, w) == \
+            oracles.orthogonal_complements(A, w)
+        if cond.c2:
+            assert core._primitive_parts(A, w) == oracles.primitive_parts(A, w)
+    ctx = harness.Ctx(A)
+    assert harness.chk_p21c(ctx) == oracles.chk_p21c(ctx)
+    assert harness.chk_t22_tail(ctx) == oracles.chk_t22_tail(ctx)
+
+
+class TestIdempotentIndex:
+    """PoSemiringTable.splits readers against the pair scans in oracles."""
+
+    def test_census_grid_and_ideal_semirings(self):
+        tables = [A for n in range(2, 7)
+                  for A in enumerate_posemirings(n).instances]
+        tables += [A for _, A in harness.construction_grid().posemirings]
+        tables += [ringlab.ideal_semiring(R)[0]
+                   for _, R in harness.default_ring_corpus()]
+        for A in tables:
+            assert_idempotent_index_matches_oracles(A)
+
+    def test_splits_are_the_orthogonal_idempotent_pairs(self):
+        A = cons.boolean_power(2)       # 0 < a, b < 1
+        assert A.splits == (((0, 0),), ((0, 1), (1, 0)), ((0, 2), (2, 0)),
+                            ((0, 3), (1, 2), (2, 1), (3, 0)))
+        assert A == cons.boolean_power(2) and hash(A) == hash(
+            cons.boolean_power(2))
+
+
+SMALL_CENSUS = [A for n in range(2, 5)
+                for A in enumerate_posemirings(n).instances]
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SMALL_CENSUS), st.sampled_from(SMALL_CENSUS))
+def test_idempotent_index_matches_oracles_on_products(A, B):
+    assert_idempotent_index_matches_oracles(cons.direct_product(A, B))
 
 
 class TestTextFormat:

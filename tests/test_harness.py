@@ -1,3 +1,4 @@
+import gc
 import json
 from types import SimpleNamespace
 
@@ -5,6 +6,7 @@ import pytest
 
 from posemiring import constructions as cons
 from posemiring import core, harness, ringlab
+from posemiring.census import enumerate_posemirings
 from posemiring.core import StructureError, make_table
 
 
@@ -155,6 +157,31 @@ class TestSmallZOnce:
         assert len(ctx.zset) == 2
         assert harness.chk_p45(ctx) == harness.CheckResult(
             "fail", witness=("closure", (1, 2, "mul")))
+
+
+class TestNoCyclicGarbage:
+    """A catalog run frees everything it allocates by reference counting."""
+
+    def test_ring_and_isomorphism_search_leave_no_cycles(self, monkeypatch):
+        calls = []
+        iso = core.find_isomorphism
+
+        def counting(A, B):
+            calls.append(A)
+            return iso(A, B)
+
+        for module in (harness, cons):
+            monkeypatch.setattr(module, "find_isomorphism", counting)
+        rings = harness.Corpus()
+        rings.rings.append(("prod(zn:4,zn:6)",
+                            ringlab.make_ring("prod(zn:4,zn:6)")))
+        census6 = single_instance_corpus(
+            "census6-45", enumerate_posemirings(6).instances[45])
+        for corpus in (rings, census6):
+            gc.collect()
+            harness.run_catalog(corpus)
+            assert gc.collect() == 0
+        assert calls        # the census instance reached find_isomorphism
 
 
 class TestReports:
