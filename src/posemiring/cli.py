@@ -1,7 +1,8 @@
 """Command-line entry point: one binary, subcommand per module.
 
 Exit codes: 0 success, 1 negative result (invalid instance, non-isomorphic,
-failing theorem checks), 2 usage / parse / I/O errors.
+failing theorem checks), 2 usage / parse / I/O errors, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print(f"error: {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ never stored: x <= y holds exactly when add[x][y] == y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
 
 #: largest table order: psr files, constructions, I(R), sub-instances and
@@ -284,6 +285,15 @@ def derived_checks(A: PoSemiringTable) -> tuple[tuple[str, tuple[int, ...]], ...
 
 @dataclass(frozen=True)
 class ElementAnalysis:
+    """The element sets of one table, derived from one down-set index.
+
+    ``down[x]`` is the bit mask of the down-set {y : y <= x}: bit y is set
+    when add[y][x] == x.  analyze_elements builds it together with the
+    up-sets in one pass over the add rows; the minimal, maximal and prime
+    elements are read from it, and so are the lower-set sizes of the
+    isomorphism invariants and the order tests of the P2.13 and P2.16
+    checks.  It takes no part in equality or hashing.
+    """
     zero_divisors: frozenset[int]
     nilpotency: dict[int, int] = field(hash=False)
     idempotents: frozenset[int]
@@ -291,17 +301,22 @@ class ElementAnalysis:
     primes: frozenset[int]
     maximals: frozenset[int]
     minimals: frozenset[int]
+    down: tuple[int, ...] = field(compare=False, hash=False, repr=False)
 
 
 def nilpotency_index(A: PoSemiringTable, x: int) -> int | None:
-    """Least k >= 1 with x^k = 0, or None.  Powers cycle within order steps."""
+    """Least k >= 1 with x^k = 0, or None.  Powers cycle within order
+    steps, and a nonzero power p with p x = p repeats for ever."""
     if x == 0:
         raise DomainError("nilpotency index of the zero element is undefined")
-    p = x
+    mul, p = A.mul, x
     for k in range(1, A.order + 1):
         if p == 0:
             return k
-        p = A.mul[p][x]
+        q = mul[p][x]
+        if q == p:
+            return None
+        p = q
     return None
 
 
@@ -309,35 +324,69 @@ def is_idempotent(A: PoSemiringTable, x: int) -> bool:
     return A.mul[x][x] == x
 
 
+def order_index(A: PoSemiringTable) -> tuple[list[int], list[int]]:
+    """(up, down): the bit masks of {y : x <= y} and {y : y <= x} for every
+    x, from one pass over the add rows (x <= y iff add[x][y] == y)."""
+    n = A.order
+    up, down = [0] * n, [0] * n
+    for x, row in enumerate(A.add):
+        bit, mask = 1 << x, 0
+        for y, s in enumerate(row):
+            if s == y:
+                mask |= 1 << y
+                down[y] |= bit
+        up[x] = mask
+    return up, down
+
+
+def _upper_mask(A: PoSemiringTable, u: int) -> int:
+    """up[u] of order_index(A), from the row of u alone."""
+    mask = 0
+    for y, s in enumerate(A.add[u]):
+        if s == y:
+            mask |= 1 << y
+    return mask
+
+
+def _lower_mask(A: PoSemiringTable, u: int) -> int:
+    """down[u] of order_index(A), from the column of u alone."""
+    mask = 0
+    for x, row in enumerate(A.add):
+        if row[u] == u:
+            mask |= 1 << x
+    return mask
+
+
+def _not_prime(A: PoSemiringTable, up: list[int]) -> int:
+    """Bit mask of the p with xy <= p for some x, y not below p.
+
+    For each x, OR over y of up[xy] & ~up[y] marks the p above xy but not
+    above y; masked by ~up[x] it marks the p that x and such a y refute."""
+    notup = [~m for m in up]
+    bad = 0
+    for x, row in enumerate(A.mul):
+        bad |= notup[x] & reduce(or_, map(and_, map(up.__getitem__, row),
+                                          notup), 0)
+    return bad
+
+
 def is_prime_element(A: PoSemiringTable, p: int) -> bool:
     """p != 1 and xy <= p implies x <= p or y <= p."""
     if p == A.one:
         return False
-    add = A.add
-    outside = [x for x in A.elements() if add[x][p] != p]
-    for x in outside:
-        row = A.mul[x]
-        for y in outside:
-            if add[row[y]][p] == p:
-                return False
-    return True
+    return not _not_prime(A, order_index(A)[0]) >> p & 1
 
 
 def is_minimal_element(A: PoSemiringTable, x: int) -> bool:
-    if x == 0:
-        return False
-    return all(y in (0, x) for y in A.elements() if A.leq(y, x))
+    return x != 0 and not _lower_mask(A, x) & ~(1 | 1 << x)
 
 
 def is_maximal_element(A: PoSemiringTable, m: int) -> bool:
-    if m == A.one:
-        return False
-    return all(x in (m, A.one) for x in A.elements() if A.leq(m, x))
+    return m != A.one and not _upper_mask(A, m) & ~(1 << m | 1 << A.one)
 
 
 def zero_divisors(A: PoSemiringTable) -> frozenset[int]:
-    return frozenset(x for x in A.nonzero()
-                     if any(A.mul[x][y] == 0 for y in A.nonzero()))
+    return frozenset(x for x in A.nonzero() if 0 in A.mul[x][1:])
 
 
 def _proper_split(A: PoSemiringTable, x: int):
@@ -354,21 +403,36 @@ def is_primitive_idempotent(A: PoSemiringTable, e: int) -> bool:
 
 
 def analyze_elements(A: PoSemiringTable) -> ElementAnalysis:
+    """Zero divisors, nilpotency indices, idempotents and the prime, maximal
+    and minimal elements of A.
+
+    One order_index pass gives every order test: x != 0 is minimal when
+    down[x] lies within {0, x}, m != 1 is maximal when up[m] lies within
+    {m, 1}, and p != 1 is prime when no product of two elements outside
+    down[p] lands in it.  A nonzero x is a zero divisor when 0 is in
+    mul[x][1:].  The down masks are kept as the analysis's ``down``.
+    """
+    n, one, mul = A.order, A.one, A.mul
+    up, down = order_index(A)
     nilp = {}
-    for x in A.nonzero():
+    for x in range(1, n):
         k = nilpotency_index(A, x)
         if k is not None:
             nilp[x] = k
-    idem = frozenset(x for x in A.nonzero() if is_idempotent(A, x))
+    idem = frozenset(x for x in range(1, n) if mul[x][x] == x)
+    not_prime = _not_prime(A, up)
     return ElementAnalysis(
         zero_divisors=zero_divisors(A),
         nilpotency=nilp,
         idempotents=idem,
         primitive_idempotents=frozenset(e for e in idem
-                                        if is_primitive_idempotent(A, e)),
-        primes=frozenset(p for p in A.elements() if is_prime_element(A, p)),
-        maximals=frozenset(m for m in A.elements() if is_maximal_element(A, m)),
-        minimals=frozenset(x for x in A.elements() if is_minimal_element(A, x)),
+                                        if _proper_split(A, e) is None),
+        primes=frozenset(p for p in range(one) if not not_prime >> p & 1),
+        maximals=frozenset(m for m in range(one)
+                           if not up[m] & ~(1 << m | 1 << one)),
+        minimals=frozenset(x for x in range(1, n)
+                           if not down[x] & ~(1 << x | 1)),
+        down=tuple(down),
     )
 
 
@@ -412,30 +476,29 @@ def is_prime_ideal(A: PoSemiringTable, members: frozenset[int]) -> bool:
     outside = [x for x in A.elements() if x not in members]
     if not outside:
         return False
-    return not any(A.mul[x][y] in members for x in outside for y in outside)
+    return all(members.isdisjoint(map(A.mul[x].__getitem__, outside))
+               for x in outside)
 
 
-def _flag_ideal(A: PoSemiringTable, members: frozenset[int]) -> IdealSubset:
-    hereditary = all(x in members
-                     for u in members for x in A.elements() if A.leq(x, u))
+def _flag_ideal(A: PoSemiringTable, members: frozenset[int],
+                down: list[int]) -> IdealSubset:
+    """Flag an ideal; down is order_index(A)'s down-set masks."""
+    mask = sum(1 << x for x in members)
+    hereditary = not any(down[u] & ~mask for u in members)
     prime = is_prime_ideal(A, members)
     princ_ann = any(_annihilator_members(A, u) == members for u in A.elements())
-    lower_gen = None
-    for u in sorted(members):
-        if _lower_members(A, u) == members:
-            lower_gen = u
-            break
+    lower_gen = next((u for u in sorted(members) if down[u] == mask), None)
     return IdealSubset(members=members, hereditary=hereditary, prime=prime,
                        principal_annihilating=princ_ann,
                        lower_principal=lower_gen)
 
 
 def annihilator(A: PoSemiringTable, u: int) -> IdealSubset:
-    return _flag_ideal(A, _annihilator_members(A, u))
+    return _flag_ideal(A, _annihilator_members(A, u), order_index(A)[1])
 
 
 def lower_ideal(A: PoSemiringTable, u: int) -> IdealSubset:
-    return _flag_ideal(A, _lower_members(A, u))
+    return _flag_ideal(A, _lower_members(A, u), order_index(A)[1])
 
 
 def ideal_closure(A: PoSemiringTable, seed) -> frozenset[int]:
@@ -472,7 +535,8 @@ def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
     """All ideals: principal ideals closed under pairwise ideal sum."""
     seeds = [ideal_closure(A, {x}) for x in A.elements()]
     family = join_closure(seeds, lambda I, J: ideal_closure(A, I | J))
-    return [_flag_ideal(A, m) for m in family]
+    down = order_index(A)[1]
+    return [_flag_ideal(A, m, down) for m in family]
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +567,19 @@ def check_conditions(A: PoSemiringTable) -> ConditionReport:
     """(C1) over the non-nilpotent, (C2) over the idempotent and (C3) over
     the minimal idempotent nonzero elements u: each u needs a nonzero
     idempotent w <= u with an orthogonal complement v, witnessed by the
-    least such (w, v).  Below a minimal u the only candidate w is u."""
+    least such (w, v).  Below a minimal u the only candidate w is u.
+    Minimality and w <= u are read from order_index(A)'s down-set masks."""
+    down = order_index(A)[1]
     c1 = [u for u in A.nonzero() if nilpotency_index(A, u) is None]
     c2 = [u for u in A.nonzero() if is_idempotent(A, u)]
-    c3 = [u for u in c2 if is_minimal_element(A, u)]
+    c3 = [u for u in c2 if not down[u] & ~(1 << u | 1)]
     complemented = [p for p in A.splits[A.one] if p[0] != 0]
     cex = {}
     wit = {"c1": {}, "c2": {}, "c3": {}}
     for key, family in (("c1", c1), ("c2", c2), ("c3", c3)):
         for u in family:
-            pair = next((p for p in complemented if A.leq(p[0], u)), None)
+            below = down[u]
+            pair = next((p for p in complemented if below >> p[0] & 1), None)
             if pair is None:
                 cex.setdefault(key, u)
             else:
@@ -549,19 +616,22 @@ def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
 # Isomorphism
 
 
-def _invariant_vector(A: PoSemiringTable, ana: ElementAnalysis, x: int):
-    return (
+def _invariant_vectors(A: PoSemiringTable, ana: ElementAnalysis) -> list:
+    """Per element: flags, nilpotency index, membership in the analysed
+    sets, the size of its down-set and the size of its annihilator."""
+    one, mul = A.one, A.mul
+    return [(
         x == 0,
-        x == A.one,
-        is_idempotent(A, x),
+        x == one,
+        mul[x][x] == x,
         ana.nilpotency.get(x, 0),
         x in ana.zero_divisors,
         x in ana.primes,
         x in ana.minimals,
         x in ana.maximals,
-        len(_lower_members(A, x)),
-        len(_annihilator_members(A, x)),
-    )
+        ana.down[x].bit_count(),
+        col.count(0),
+    ) for x, col in enumerate(zip(*mul))]
 
 
 def _transports(A: PoSemiringTable, B: PoSemiringTable, perm) -> bool:
@@ -583,9 +653,8 @@ def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
     if A.order != B.order:
         return None
     n = A.order
-    ana_a, ana_b = analyze_elements(A), analyze_elements(B)
-    inv_a = [_invariant_vector(A, ana_a, x) for x in range(n)]
-    inv_b = [_invariant_vector(B, ana_b, x) for x in range(n)]
+    inv_a = _invariant_vectors(A, analyze_elements(A))
+    inv_b = _invariant_vectors(B, analyze_elements(B))
     if sorted(inv_a) != sorted(inv_b):
         return None
 

@@ -19,15 +19,16 @@ from .core import (
     NotApplicableError,
     PoSemiringTable,
     StructureError,
-    _lower_members,
     _primitive_parts,
     analyze_elements,
     check_conditions,
     find_isomorphism,
     is_idempotent,
+    is_minimal_element,
     is_prime_ideal,
     orthogonal_complement,
     verify_axioms,
+    zero_divisors,
 )
 from .graphs import classify_shape, graph_metrics
 
@@ -234,19 +235,20 @@ def chk_t29(ctx):
 
 
 def chk_p213(ctx):
-    A = ctx.A
-    down = [_lower_members(A, u) for u in A.elements()]
-    for u in A.elements():
-        for v in A.elements():
-            if A.leq(u, v) != (down[u] <= down[v]):
+    down = ctx.ana.down
+    for u, row in enumerate(ctx.A.add):
+        below = down[u]
+        for v, s in enumerate(row):
+            if (s == v) != (not below & ~down[v]):
                 return _fail((u, v))
     return _pass()
 
 
 def chk_p216(ctx):
-    A = ctx.A
-    for p in A.elements():
-        if (p in ctx.ana.primes) != is_prime_ideal(A, _lower_members(A, p)):
+    A, ana = ctx.A, ctx.ana
+    for p, below in enumerate(ana.down):
+        members = frozenset(x for x in A.elements() if below >> x & 1)
+        if (p in ana.primes) != is_prime_ideal(A, members):
             return _fail(p)
     return _pass()
 
@@ -336,7 +338,7 @@ def chk_t35b(ctx):
     split = cons._split_two_star(ctx.A)
     if split is None:
         return _fail("no {0,1} x S splitting found")
-    if len(analyze_elements(split.s).zero_divisors) != 1:
+    if len(zero_divisors(split.s)) != 1:
         return _fail(("|Z(S)| != 1", split.s.order))
     if split.r != ctx.shape.params[1]:
         return _fail(("r mismatch", split.r, ctx.shape.params[1]))
@@ -421,7 +423,7 @@ def chk_t42(ctx):
         dec = ctx.small_z()
     except (ClosureError, StructureError) as exc:
         return _fail(str(exc))
-    if analyze_elements(dec.a1).zero_divisors:
+    if zero_divisors(dec.a1):
         return _fail("recovered base is not integral")
     return _pass()
 
@@ -450,7 +452,7 @@ def chk_p45(ctx):
         return _fail(("closure", exc.witness))
     if not isinstance(rep, cons.Prop45Report):
         return _fail("expected a condition report")
-    if analyze_elements(rep.a1).zero_divisors:
+    if zero_divisors(rep.a1):
         return _fail("complement of Z(A) is not integral")
     bad = sorted(k for k, v in rep.conditions.items() if not v)
     return _fail(("conditions", bad)) if bad else _pass()
@@ -464,9 +466,8 @@ def chk_p48(ctx):
     except StructureError as exc:
         return _fail(str(exc))
     a1 = peel.a1
-    minimals = analyze_elements(a1).minimals
     leftover = [x for x in a1.nonzero()
-                if is_idempotent(a1, x) and x in minimals]
+                if is_idempotent(a1, x) and is_minimal_element(a1, x)]
     if leftover and a1.order > 2:
         return _fail(("residual idempotent minimal", leftover[0]))
     return _pass()

@@ -1,5 +1,6 @@
 """Brute-force references for the table-law kernels, census keys, graphs,
-the ring ideal layer and the orthogonal-idempotent index.
+the ring ideal layer, the orthogonal-idempotent index and the down-set
+index.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
@@ -7,8 +8,9 @@ full; the multiplication search fills one cell at a time; the graph metrics
 and shapes enumerate vertex subsets and bipartitions; ring tables are filled
 cell by cell, ideal sums and products take every pair of members, and
 nilpotency takes every power; complements, primitive idempotents, (C1)-(C3)
-and primitive decompositions scan every pair of elements.  Tests compare the
-package against them.
+and primitive decompositions scan every pair of elements; the element
+analysis, the isomorphism invariants and the ideal flags test the order one
+pair at a time through A.leq.  Tests compare the package against them.
 """
 
 import itertools
@@ -18,11 +20,12 @@ from posemiring import harness
 from posemiring.core import (
     AxiomReport,
     ConditionReport,
+    ElementAnalysis,
+    IdealSubset,
     StructureError,
     is_idempotent,
-    is_minimal_element,
+    is_prime_ideal,
     make_table,
-    nilpotency_index,
 )
 from posemiring.graphs import GraphMetrics, GraphShape
 
@@ -418,7 +421,8 @@ def _dominated_complemented_idempotent(A, u):
 
 
 def check_conditions(A):
-    """core.check_conditions as one pair scan per element of each family."""
+    """core.check_conditions as one pair scan per element of each family,
+    with minimality and w <= u tested through A.leq."""
     cex = {}
     wit = {"c1": {}, "c2": {}, "c3": {}}
 
@@ -520,3 +524,103 @@ def chk_t22_tail(ctx):
         if not found:
             return harness._fail(c)
     return harness._pass()
+
+
+# ---------------------------------------------------------------------------
+# Element analysis: A.leq scans in place of the down-set index
+
+
+def nilpotency_index(A, x):
+    """core.nilpotency_index taking all of x, x^2, ..., x^n."""
+    p = x
+    for k in range(1, A.order + 1):
+        if p == 0:
+            return k
+        p = A.mul[p][x]
+    return None
+
+
+def is_prime_element(A, p):
+    """p != 1 and no x, y outside the down-set of p with xy inside it."""
+    if p == A.one:
+        return False
+    add = A.add
+    outside = [x for x in A.elements() if add[x][p] != p]
+    for x in outside:
+        row = A.mul[x]
+        for y in outside:
+            if add[row[y]][p] == p:
+                return False
+    return True
+
+
+def is_minimal_element(A, x):
+    if x == 0:
+        return False
+    return all(y in (0, x) for y in A.elements() if A.leq(y, x))
+
+
+def is_maximal_element(A, m):
+    if m == A.one:
+        return False
+    return all(x in (m, A.one) for x in A.elements() if A.leq(m, x))
+
+
+def lower_members(A, u):
+    return frozenset(x for x in A.elements() if A.leq(x, u))
+
+
+def annihilator_members(A, u):
+    return frozenset(x for x in A.elements() if A.mul[x][u] == 0)
+
+
+def analyze_elements(A):
+    """core.analyze_elements with each element tested on its own: zero
+    divisors over every nonzero product, nilpotency over every power, the
+    order tests through A.leq, and down[x] from lower_members."""
+    nonzero = list(A.nonzero())
+    nilp = {}
+    for x in nonzero:
+        k = nilpotency_index(A, x)
+        if k is not None:
+            nilp[x] = k
+    idem = frozenset(x for x in nonzero if is_idempotent(A, x))
+    return ElementAnalysis(
+        zero_divisors=frozenset(x for x in nonzero
+                                if any(A.mul[x][y] == 0 for y in nonzero)),
+        nilpotency=nilp,
+        idempotents=idem,
+        primitive_idempotents=frozenset(
+            e for e in idem if is_primitive_idempotent(A, e)),
+        primes=frozenset(p for p in A.elements() if is_prime_element(A, p)),
+        maximals=frozenset(m for m in A.elements()
+                           if is_maximal_element(A, m)),
+        minimals=frozenset(x for x in A.elements()
+                           if is_minimal_element(A, x)),
+        down=tuple(sum(1 << y for y in lower_members(A, x))
+                   for x in A.elements()),
+    )
+
+
+def invariant_vectors(A, ana):
+    """core._invariant_vectors with the down-set and annihilator of each
+    element collected as sets."""
+    return [(x == 0, x == A.one, is_idempotent(A, x), ana.nilpotency.get(x, 0),
+             x in ana.zero_divisors, x in ana.primes, x in ana.minimals,
+             x in ana.maximals, len(lower_members(A, x)),
+             len(annihilator_members(A, x)))
+            for x in A.elements()]
+
+
+def flag_ideal(A, members):
+    """core._flag_ideal comparing members with every down-set and
+    annihilator collected as a set."""
+    return IdealSubset(
+        members=members,
+        hereditary=all(x in members for u in members
+                       for x in A.elements() if A.leq(x, u)),
+        prime=is_prime_ideal(A, members),
+        principal_annihilating=any(annihilator_members(A, u) == members
+                                   for u in A.elements()),
+        lower_principal=next((u for u in sorted(members)
+                              if lower_members(A, u) == members), None))

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from posemiring import constructions as cons
-from posemiring import harness
+from posemiring import cli, harness
 from posemiring.cli import main
 from posemiring.core import parse_psr, to_text
 
@@ -69,6 +69,21 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["c1"] is True
         assert data["zero_divisors"] == []
+
+
+    def test_json_pinned_on_grid_and_census5(self, tmp_path, capsys):
+        # sha256 over `analyze --json` for every construction-grid instance
+        # and every class of the census:5 corpus
+        digest = hashlib.sha256()
+        corpus = (harness.construction_grid().posemirings
+                  + harness.census_corpus(5).posemirings)
+        for name, A in corpus:
+            code, out, _ = run(capsys, "analyze",
+                               write_psr(tmp_path, f"{name}.psr", A), "--json")
+            assert code == 0
+            digest.update(f"{name}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "69a8fb799908538cb2b6fdd76402fbdef2826ef18ba9430ba0e7c53911d2702d")
 
 
 class TestGraph:
@@ -285,6 +300,9 @@ class TestTheorems:
         }
         assert {check: (got[check, "pass"], got[check, "not-applicable"])
                 for check, _ in got} == want
+        # every row, witness and note as well as the counts
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6c5f783e8e7350309bec0b7b24b6bf3ec0bd69a420f7a6d41479344e8ee48cad")
 
     def test_rings_default_report_pinned(self, capsys):
         code, out, _ = run(capsys, "theorems", "--corpus", "rings:default",
@@ -430,3 +448,13 @@ def test_ring_radicals_enumerates_ideals_once(monkeypatch, capsys):
                         lambda R: calls.append(R) or enumerate_ring_ideals(R))
     code, _, _ = run(capsys, "ring", "radicals", "zn:12")
     assert code == 0 and len(calls) == 1
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_theorems", interrupted)
+    code, out, err = run(capsys, "theorems", "--corpus", "census:8")
+    assert code == 130
+    assert out == "" and err == "error: theorems: interrupted\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -362,6 +363,58 @@ SMALL_CENSUS = [A for n in range(2, 5)
 @given(st.sampled_from(SMALL_CENSUS), st.sampled_from(SMALL_CENSUS))
 def test_idempotent_index_matches_oracles_on_products(A, B):
     assert_idempotent_index_matches_oracles(cons.direct_product(A, B))
+
+
+def assert_analysis_matches_oracle(A, each_element=True):
+    """analyze_elements, its down-set index and the isomorphism invariants
+    against the A.leq scans in oracles, field by field."""
+    ana, want = analyze_elements(A), oracles.analyze_elements(A)
+    for f in dataclasses.fields(core.ElementAnalysis):
+        assert getattr(ana, f.name) == getattr(want, f.name), f.name
+    assert core._invariant_vectors(A, ana) == \
+        oracles.invariant_vectors(A, want)
+    if each_element:
+        for x in A.elements():
+            assert is_prime_element(A, x) == (x in want.primes)
+            assert is_minimal_element(A, x) == (x in want.minimals)
+            assert is_maximal_element(A, x) == (x in want.maximals)
+            if x:
+                assert nilpotency_index(A, x) == \
+                    oracles.nilpotency_index(A, x)
+
+
+class TestDownSetIndex:
+    """Readers of order_index against the A.leq scans in oracles."""
+
+    def test_census_grid_and_ideal_semirings(self):
+        tables = [A for n in range(2, 8)
+                  for A in enumerate_posemirings(n).instances]
+        tables += [A for _, A in harness.construction_grid().posemirings]
+        tables += [ringlab.ideal_semiring(R)[0]
+                   for _, R in harness.default_ring_corpus()]
+        for A in tables:
+            assert_analysis_matches_oracle(A)
+
+    def test_order_256_product(self):
+        A = cons.construct_from_text("product(chain:k=6,chain:k=30)")
+        assert A.order == 256
+        assert_analysis_matches_oracle(A, each_element=False)
+
+    def test_ideal_flags(self, census_instances):
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        for A in list(census_instances) + grid:
+            for ideal in enumerate_ideals(A):
+                assert ideal == oracles.flag_ideal(A, ideal.members)
+            for u in A.elements():
+                for ideal in (annihilator(A, u), lower_ideal(A, u)):
+                    assert ideal == oracles.flag_ideal(A, ideal.members)
+
+    def test_down_takes_no_part_in_equality(self):
+        A = cons.boolean_power(2)
+        ana = analyze_elements(A)
+        assert ana.down == (0b0001, 0b0011, 0b0101, 0b1111)
+        other = dataclasses.replace(ana, down=())
+        assert other == ana and hash(other) == hash(ana)
 
 
 class TestTextFormat:

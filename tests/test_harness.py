@@ -1,5 +1,6 @@
 import gc
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -86,31 +87,40 @@ class TestFiniteCaseAnnotation:
 
 
 class TestSharedAnalysis:
-    def test_p48_analyses_peeled_base_once(self, monkeypatch,
-                                           census_instances):
+    def test_sub_tables_get_no_analysis(self, monkeypatch, census_instances):
+        # T3.5b, T4.2, P4.5 and P4.8 read Z(S) and minimal idempotents of
+        # their split, recovered or peeled base directly; the only analyses
+        # left are find_isomorphism's, on tables of the instance's order
         grid = [A for _, A in harness.construction_grid().posemirings]
-        ctxs = [harness.Ctx(A) for A in list(census_instances) + grid]
+        two_stars = [cons.direct_product(cons.trivial(),
+                                         cons.adjoin_z1(cons.chain_lattice(k)))
+                     for k in (1, 2)]
+        ctxs = [harness.Ctx(A)
+                for A in list(census_instances) + grid + two_stars]
         for ctx in ctxs:
             ctx.ana, ctx.cond       # built before counting starts
         calls = []
-        analyze = harness.analyze_elements
 
-        def counting(A):
-            calls.append(A)
-            return analyze(A)
+        def counting(analyze):
+            def wrapped(A):
+                calls.append(A)
+                return analyze(A)
+            return wrapped
 
-        monkeypatch.setattr(harness, "analyze_elements", counting)
-        peeled = 0
+        monkeypatch.setattr(harness, "analyze_elements",
+                            counting(harness.analyze_elements))
+        monkeypatch.setattr(core, "analyze_elements",
+                            counting(core.analyze_elements))
+        applied = Counter()
         for ctx in ctxs:
-            calls.clear()
-            res = harness.chk_p48(ctx)
-            if res.status == "not-applicable":
-                assert calls == []
-            else:
-                assert res.status == "pass"
-                assert calls == [cons.peel_boolean(ctx.A).a1]
-                peeled += 1
-        assert peeled > 0
+            for chk in (harness.chk_t35b, harness.chk_t42, harness.chk_p45,
+                        harness.chk_p48):
+                calls.clear()
+                res = chk(ctx)
+                assert res.status != "fail"
+                assert all(A.order == ctx.A.order for A in calls)
+                applied[chk.__name__] += res.status == "pass"
+        assert min(applied.values()) > 0
 
 
 class TestSmallZOnce:
