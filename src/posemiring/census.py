@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -37,11 +38,28 @@ def _generic_names(n: int) -> tuple[str, ...]:
     return ("0",) + tuple(f"x{i}" for i in range(1, n - 1)) + ("1",)
 
 
+def _relabelling(perm):
+    """perm with pick, rows and pmap, the C-level steps that relabel by it.
+
+    pmap, bytes(perm) padded to 256 bytes, renames values by bytes.translate;
+    rows gathers the cells (inv[x], inv[y]) of the renamed flat table, and
+    pick only those with 1 <= x <= y <= n-2.  The tables keyed here are
+    commutative, 0 is an identity or absorbing and n-1 an identity or top,
+    so the other cells mirror these or are fixed: pick orders as rows does.
+    """
+    n = len(perm)
+    inv = sorted(range(n), key=perm.__getitem__)
+    rows = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
+    upper = [rows[x * n + y] for x in range(1, n - 1) for y in range(x, n - 1)]
+    # n = 2 has no such cell (itemgetter() takes one); rows serve as pick
+    pick = operator.itemgetter(*(upper or rows))
+    return perm, pick, operator.itemgetter(*rows), bytes(perm) + bytes(256 - n)
+
+
 def _fixing_perms(n: int):
-    """Permutations of 0..n-1 fixing 0 and n-1, each with its inverse."""
-    perms = [(0,) + middle + (n - 1,)
-             for middle in itertools.permutations(range(1, n - 1))]
-    return [(perm, [perm.index(x) for x in range(n)]) for perm in perms]
+    """Permutations of 0..n-1 fixing 0 and n-1, each as a _relabelling."""
+    return [_relabelling((0,) + middle + (n - 1,))
+            for middle in itertools.permutations(range(1, n - 1))]
 
 
 def canonical_form(A: PoSemiringTable) -> bytes:
@@ -60,18 +78,18 @@ def _key_and_aut(A: PoSemiringTable):
     The least add, then the least mul over the perms reaching it, is the
     least (add, mul); the perms reaching both are a coset of Aut(A).
     """
-    lattice_key, lattice_hits = _least_relabellings(A.add,
-                                                    _fixing_perms(A.order))
-    mul_key, hits = _least_relabellings(A.mul, lattice_hits)
-    return lattice_key + mul_key, len(hits)
+    add_key, add_hits = _least_relabellings(A.add, _fixing_perms(A.order))
+    mul_key, hits = _least_relabellings(A.mul, add_hits)
+    return add_key + mul_key, len(hits)
 
 
-def table_from_canonical(n: int, data: bytes) -> PoSemiringTable:
-    """The representative with canonical key data, built without re-checks:
-    the census makes its keys from valid tables."""
-    rows = [tuple(data[i:i + n]) for i in range(0, 2 * n * n, n)]
-    return PoSemiringTable(order=n, names=_generic_names(n),
-                           add=tuple(rows[:n]), mul=tuple(rows[n:]))
+def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
+    """The representatives with these canonical keys, built without
+    re-checks: the census makes its keys from valid tables."""
+    names = _generic_names(n)
+    rows = [tuple(zip(*[iter(key)] * n)) for key in keys]
+    return [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
+            for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +249,16 @@ def _mul_backtrack(n: int, add):
 def _least_relabellings(tab, perms):
     """Least serialization of tab over perms, and the perms that reach it.
 
-    0 is an identity or absorbing element of tab and n-1 an identity or top,
-    so their rows are the same under every perm.  The other rows are
-    compared as they are built, and most perms stop after one of them.
+    perms are _relabelling tuples.  Each costs two C calls on the flat
+    table, pick(flat.translate(pmap)); the hits are the perms tying for the
+    least pick, in the order of perms, and the key is the first hit's rows.
     """
-    n = len(tab)
-    best, hits = None, []
-    for perm, inv in perms:
-        rows = []
-        tied = best is not None
-        for x in range(1, n - 1):
-            src = tab[inv[x]]
-            row = bytes([perm[src[inv[y]]] for y in range(n)])
-            if tied and row != best[x - 1]:
-                if row > best[x - 1]:
-                    break
-                tied = False
-            rows.append(row)
-        else:
-            if tied:
-                hits.append((perm, inv))
-            else:
-                best, hits = rows, [(perm, inv)]
-    return b"".join([bytes(tab[0]), *best, bytes(tab[-1])]), hits
+    flat = b"".join(map(bytes, tab))
+    keys = [pick(flat.translate(pmap)) for _, pick, _, pmap in perms]
+    best = min(keys)
+    hits = [entry for entry, key in zip(perms, keys) if key == best]
+    _, _, rows, pmap = hits[0]
+    return bytes(rows(flat.translate(pmap))), hits
 
 
 def _fast_census(n: int):
@@ -263,11 +268,11 @@ def _fast_census(n: int):
     L, so lattice_key + min over Aut(L) of the relabelled mul equals
     canonical_form, and the automorphisms reaching that minimum are Aut(A).
     The perms taking the first labelled lattice of a class to its key are
-    a coset p0 Aut(L), so Aut(L) = {p . p0^-1}.  No table is verified: each
-    join table is a lattice, and _mul_backtrack builds every row as a
-    join-endomorphism (distributivity, identity, absorption), takes it from
-    the candidates that match the earlier rows (commutativity) and checks
-    its compositions with them (associativity).
+    a coset p0 Aut(L), so Aut(L) = {p . p0^-1}, kept as _relabelling tuples
+    for the table keys.  No table is verified: each join table is a lattice,
+    and _mul_backtrack builds every row as a join-endomorphism (identity,
+    distributivity, absorption), takes it from the candidates matching the
+    earlier rows (commutativity) and checks its compositions (associativity).
     """
     perms = _fixing_perms(n)
     lattice_hits = {}   # lattice key -> hits of its first labelled lattice
@@ -276,14 +281,14 @@ def _fast_census(n: int):
         lattice_hits.setdefault(key, hits)
     classes = {}    # canonical key -> |Aut|
     for lattice_key, hits in lattice_hits.items():
-        add = tuple(tuple(lattice_key[x * n:(x + 1) * n]) for x in range(n))
-        p0, inv0 = hits[0]
-        lattice_aut = [([perm[y] for y in inv0], [p0[y] for y in inv])
-                       for perm, inv in hits]
+        add = tuple(zip(*[iter(lattice_key)] * n))
+        inv0 = sorted(range(n), key=hits[0][0].__getitem__)
+        lattice_aut = [_relabelling(tuple(perm[y] for y in inv0))
+                       for perm, *_ in hits]
         for mul in _mul_backtrack(n, add):
             mul_key, stabiliser = _least_relabellings(mul, lattice_aut)
             classes.setdefault(lattice_key + mul_key, len(stabiliser))
-    reps = [table_from_canonical(n, k) for k in sorted(classes)]
+    reps = tables_from_canonical(n, sorted(classes))
     labeled = sum(math.factorial(n - 2) // aut for aut in classes.values())
     return reps, labeled
 
@@ -302,12 +307,7 @@ def _naive_census(n: int):
     interior = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
 
     def tables(fixed_rows):
-        base = [[None] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                v = fixed_rows(x, y)
-                if v is not None:
-                    base[x][y] = v
+        base = [[fixed_rows(x, y) for y in range(n)] for x in range(n)]
         for values in itertools.product(range(n), repeat=len(interior)):
             tab = [row[:] for row in base]
             for (x, y), v in zip(interior, values):
@@ -341,7 +341,7 @@ def _naive_census(n: int):
             if verify_axioms(A).valid:
                 labeled += 1
                 keys.add(canonical_form(A))
-    return [table_from_canonical(n, k) for k in sorted(keys)], labeled
+    return tables_from_canonical(n, sorted(keys)), labeled
 
 
 def enumerate_posemirings(n: int, mode: str = "fast") -> CensusResult:

@@ -4,19 +4,22 @@ index.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
-full; the multiplication search fills one cell at a time; the graph metrics
-and shapes enumerate vertex subsets and bipartitions; ring tables are filled
-cell by cell, ideal sums and products take every pair of members, and
-nilpotency takes every power; complements, primitive idempotents, (C1)-(C3)
-and primitive decompositions scan every pair of elements; the element
-analysis, the isomorphism invariants and the ideal flags test the order one
-pair at a time through A.leq.  Tests compare the package against them.
+full, or build each relabelled row cell by cell; Burnside's lemma over
+lattice automorphisms counts the census without keys; the multiplication
+search fills one cell at a time; the graph metrics and shapes enumerate
+vertex subsets and bipartitions; ring tables are filled cell by cell,
+ideal sums and products take every pair of members, and nilpotency takes
+every power; complements, primitive idempotents, (C1)-(C3) and primitive
+decompositions scan every pair of elements; the element analysis, the
+isomorphism invariants and the ideal flags test the order one pair at a
+time through A.leq.  Tests compare the package against them.
 """
 
 import itertools
 import math
 
 from posemiring import harness
+from posemiring.census import _bounded_semilattices, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
     ConditionReport,
@@ -217,6 +220,62 @@ def automorphism_count(A) -> int:
                    and perm[A.mul[x][y]] == A.mul[perm[x]][perm[y]]
                    for x in range(n) for y in range(n))
                for perm, _ in _fixing_perms(n))
+
+
+def least_relabellings(tab, perms):
+    """census._least_relabellings building each relabelled interior row
+    cell by cell and leaving a perm at its first row above the least;
+    perms are (perm, inverse) pairs."""
+    n = len(tab)
+    best, hits = None, []
+    for perm, inv in perms:
+        rows = []
+        tied = best is not None
+        for x in range(1, n - 1):
+            src = tab[inv[x]]
+            row = bytes([perm[src[inv[y]]] for y in range(n)])
+            if tied and row != best[x - 1]:
+                if row > best[x - 1]:
+                    break
+                tied = False
+            rows.append(row)
+        else:
+            if tied:
+                hits.append((perm, inv))
+            else:
+                best, hits = rows, [(perm, inv)]
+    return b"".join([bytes(tab[0]), *best, bytes(tab[-1])]), hits
+
+
+def burnside_counts(n):
+    """(classes, labelled) of the order-n census by Burnside's lemma, with
+    no census key: labelled = sum over lattice classes L of
+    (n-2)!/|Aut L| * #mul(L), and classes = sum over L of
+    (1/|Aut L|) * sum over g in Aut L of #{mul fixed by g}.  The classes
+    are told apart by their orbits and Aut L found by trying every
+    0,1-fixing permutation; the lattices and their multiplications come
+    from the census's own generation and row search."""
+    perms = list(_fixing_perms(n))
+    seen = set()
+    classes = labelled = 0
+    for add in _bounded_semilattices(n):
+        flat = bytes(v for row in add for v in row)
+        if flat in seen:
+            continue
+        images = [_relabelled(add, perm, inv) for perm, inv in perms]
+        aut = [perm for (perm, _), image in zip(perms, images)
+               if image == flat]
+        orbit = set(images)
+        assert len(orbit) * len(aut) == math.factorial(n - 2)
+        seen |= orbit
+        muls = list(_mul_backtrack(n, add))
+        labelled += len(orbit) * len(muls)
+        fixed = sum(all(g[mul[x][y]] == mul[g[x]][g[y]]
+                        for x in range(n) for y in range(n))
+                    for g in aut for mul in muls)
+        assert fixed % len(aut) == 0
+        classes += fixed // len(aut)
+    return classes, labelled
 
 
 def mul_backtrack(n, add):

@@ -19,7 +19,7 @@ from posemiring.census import (
     automorphism_count,
     canonical_form,
     enumerate_posemirings,
-    table_from_canonical,
+    tables_from_canonical,
 )
 from posemiring.core import (
     DomainError,
@@ -53,6 +53,14 @@ class TestCounts:
         # "Residuated lattices of size <= 12", Order 27 (2010).
         result = enumerate_posemirings(7)
         assert (result.count_up_to_iso, result.count_labeled) == (723, 80415)
+
+    def test_burnside_count_oracle(self):
+        # counted from the lattice automorphisms, with no census key
+        for n in range(2, 8):
+            result = enumerate_posemirings(n)
+            got = oracles.burnside_counts(n)
+            assert got == (result.count_up_to_iso, result.count_labeled)
+            assert got[0] == {2: 1, 3: 2, 4: 7, 5: 26, 6: 129, 7: 723}[n]
 
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
@@ -186,7 +194,7 @@ class TestCanonicalForm:
     def test_round_trip(self, census):
         for A in census[4].instances:
             key = canonical_form(A)
-            B = table_from_canonical(A.order, key)
+            [B] = tables_from_canonical(A.order, [key])
             assert canonical_form(B) == key
             assert find_isomorphism(A, B) is not None
 
@@ -202,13 +210,42 @@ class TestCanonicalForm:
             keys = []
             for A in enumerate_posemirings(n).instances:
                 key = canonical_form(A)
-                assert A == table_from_canonical(n, key)
+                assert [A] == tables_from_canonical(n, [key])
                 keys.append(key)
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_separates_order_three_classes(self, census):
         keys = {canonical_form(A) for A in census[3].instances}
         assert len(keys) == 2
+
+
+class TestRelabellingKernel:
+    @staticmethod
+    def agree(tab, perms):
+        key, hits = _least_relabellings(tab, perms)
+        pairs = [(perm, [perm.index(x) for x in range(len(perm))])
+                 for perm, *_ in perms]
+        want_key, want_hits = oracles.least_relabellings(tab, pairs)
+        assert key == want_key
+        assert [perm for perm, *_ in hits] == [perm for perm, _ in want_hits]
+
+    def test_every_labelled_lattice(self):
+        # n = 2 has no cell for pick; n = 3 has one
+        for n in range(2, 8):
+            perms = _fixing_perms(n)
+            for add in _bounded_semilattices(n):
+                self.agree(add, perms)
+
+    def test_every_table_under_lattice_automorphisms(self):
+        for n in range(2, 7):
+            perms = _fixing_perms(n)
+            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
+                                     for add in _bounded_semilattices(n))
+            for key in lattices:
+                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                aut = _least_relabellings(add, perms)[1]    # Aut(L)
+                for mul in _mul_backtrack(n, add):
+                    self.agree(mul, aut)
 
 
 class TestKeysAgainstOracle:
