@@ -1,13 +1,14 @@
 """Isomorph-free exhaustive generation of small po-semirings.
 
-Fast mode enumerates bounded join-semilattice addition tables (labels
-restricted to linear extensions, which loses no isomorphism class) and keeps
-one canonical lattice per isomorphism class.  On each it searches the
-multiplication tables row by row: every row is a join-endomorphism of the
-lattice below the identity, commutativity picks the candidates for a row, and
-associativity is checked as composition of rows.  Classes are keyed through
-the lattice's automorphisms.  A naive table-pair sweep serves as an
-independent oracle at small orders.
+Fast mode enumerates bounded join-semilattice addition tables, labelled so
+that (down-set size, up-set size) never decreases (every lattice has such a
+labelling, so no isomorphism class is lost), and keeps the first labelled
+lattice of each class with the permutations taking it to its canonical key.
+On each it searches the multiplication tables row by row: every row is a
+join-endomorphism of the lattice below the identity, commutativity picks the
+candidates for a row, and associativity is checked as composition of rows.
+Each table is keyed over those permutations.  A naive table-pair sweep
+serves as an independent oracle at small orders.
 """
 
 from __future__ import annotations
@@ -18,10 +19,17 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .core import DomainError, PoSemiringTable, make_table, verify_axioms
+from .core import (
+    ByteTable,
+    DomainError,
+    PoSemiringTable,
+    associative_witness,
+    make_table,
+    verify_axioms,
+)
 
-FAST_CAP = 8
-NAIVE_CAP = 4
+FAST_CAP = 9
+NAIVE_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -97,15 +105,16 @@ def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
 
 
 def _linear_posets(n: int):
-    """Yield bounded posets on 0..n-1 whose indices form a linear extension.
+    """Yield bounded posets on 0..n-1 whose strict down-sets never shrink.
 
     Each is the list of strict down-sets; 0 is the bottom and n-1 the top.
-    Strict down-sets are built one element at a time.
+    Strict down-sets are built one element at a time, each at least as
+    large as the one before, so the indices form a linear extension.
     """
 
     def downsets(below, i):
         ground = list(range(1, i))
-        for r in range(len(ground) + 1):
+        for r in range(max(len(below[-1]) - 1, 0), len(ground) + 1):
             for extra in itertools.combinations(ground, r):
                 s = frozenset((0,) + extra)
                 if all(below[j] <= s for j in s):
@@ -143,11 +152,23 @@ def _join_table(below):
 
 
 def _bounded_semilattices(n: int):
-    """Yield join tables of lattices on 0..n-1 with bottom 0 and top n-1."""
+    """Yield join tables of lattices on 0..n-1 with bottom 0 and top n-1,
+    labelled so that (down-set size, up-set size) never decreases.
+
+    x < y makes the down-set of x a proper subset of that of y, so every
+    lattice sorted by these sizes is labelled by a linear extension: each
+    class appears at least once.
+    """
     for below in _linear_posets(n):
-        tab = _join_table(below)
-        if tab is not None:
-            yield tab
+        ups = [1] * n
+        for strict in below:
+            for x in strict:
+                ups[x] += 1
+        if all(ups[x] <= ups[x + 1] for x in range(n - 1)
+               if len(below[x]) == len(below[x + 1])):
+            tab = _join_table(below)
+            if tab is not None:
+                yield tab
 
 
 def _join_endomorphisms(add):
@@ -262,31 +283,27 @@ def _least_relabellings(tab, perms):
 
 
 def _fast_census(n: int):
-    """Search multiplications once per lattice class, keyed through Aut(L).
+    """Search multiplications once per lattice class, keyed over its hits.
 
-    Every isomorphism between tables on one lattice L is an automorphism of
-    L, so lattice_key + min over Aut(L) of the relabelled mul equals
-    canonical_form, and the automorphisms reaching that minimum are Aut(A).
-    The perms taking the first labelled lattice of a class to its key are
-    a coset p0 Aut(L), so Aut(L) = {p . p0^-1}, kept as _relabelling tuples
-    for the table keys.  No table is verified: each join table is a lattice,
-    and _mul_backtrack builds every row as a join-endomorphism (identity,
-    distributivity, absorption), takes it from the candidates matching the
-    earlier rows (commutativity) and checks its compositions (associativity).
+    The hits of the first labelled lattice L of a class are the perms p
+    taking it to the lattice key, a coset p0 Aut(L).  Every isomorphism
+    from a table on L to one on the key lattice is such a perm, so
+    lattice_key + min over the hits of the relabelled mul equals
+    canonical_form, and the hits reaching that minimum number |Aut(A)|.
+    No table is verified: each join table is a lattice, and _mul_backtrack
+    builds every row as a join-endomorphism (identity, distributivity,
+    absorption), takes it from the candidates matching the earlier rows
+    (commutativity) and checks its compositions (associativity).
     """
     perms = _fixing_perms(n)
-    lattice_hits = {}   # lattice key -> hits of its first labelled lattice
+    lattices = {}   # lattice key -> (first labelled lattice, its hits)
     for add in _bounded_semilattices(n):
         key, hits = _least_relabellings(add, perms)
-        lattice_hits.setdefault(key, hits)
+        lattices.setdefault(key, (add, hits))
     classes = {}    # canonical key -> |Aut|
-    for lattice_key, hits in lattice_hits.items():
-        add = tuple(zip(*[iter(lattice_key)] * n))
-        inv0 = sorted(range(n), key=hits[0][0].__getitem__)
-        lattice_aut = [_relabelling(tuple(perm[y] for y in inv0))
-                       for perm, *_ in hits]
+    for lattice_key, (add, hits) in lattices.items():
         for mul in _mul_backtrack(n, add):
-            mul_key, stabiliser = _least_relabellings(mul, lattice_aut)
+            mul_key, stabiliser = _least_relabellings(mul, hits)
             classes.setdefault(lattice_key + mul_key, len(stabiliser))
     reps = tables_from_canonical(n, sorted(classes))
     labeled = sum(math.factorial(n - 2) // aut for aut in classes.values())
@@ -300,19 +317,23 @@ def _fast_census(n: int):
 def _naive_census(n: int):
     """Sweep all interior cell assignments and filter by verify_axioms.
 
-    Rows forced by the identity, top, and absorption axioms are fixed up
-    front (pure filtering); everything else is brute force.
+    Cells forced by the identity, top, and absorption axioms are fixed up
+    front, and so is the add diagonal: x + x = x(1 + 1) = x by distributivity
+    (pure filtering).  Everything else is brute force; each table must be
+    associative on its own before the pairs are formed and checked.
     """
     one = n - 1
-    interior = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
 
-    def tables(fixed_rows):
-        base = [[fixed_rows(x, y) for y in range(n)] for x in range(n)]
-        for values in itertools.product(range(n), repeat=len(interior)):
+    def tables(fixed):
+        base = [[fixed(x, y) for y in range(n)] for x in range(n)]
+        free = [(x, y) for x in range(n) for y in range(x, n)
+                if base[x][y] is None]
+        for values in itertools.product(range(n), repeat=len(free)):
             tab = [row[:] for row in base]
-            for (x, y), v in zip(interior, values):
+            for (x, y), v in zip(free, values):
                 tab[x][y] = tab[y][x] = v
-            yield tab
+            if associative_witness(ByteTable(tab)) is None:
+                yield tab
 
     def add_fixed(x, y):
         if x == 0:
@@ -321,7 +342,7 @@ def _naive_census(n: int):
             return x
         if x == one or y == one:
             return one
-        return None
+        return x if x == y else None
 
     def mul_fixed(x, y):
         if x == 0 or y == 0:

@@ -4,8 +4,9 @@ index.
 
 The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
-full, or build each relabelled row cell by cell; Burnside's lemma over
-lattice automorphisms counts the census without keys; the multiplication
+full, or build each relabelled row cell by cell; the lattices are labelled
+by every linear extension, and Burnside's lemma over their automorphisms
+counts the census without keys; the multiplication
 search fills one cell at a time; the graph metrics and shapes enumerate
 vertex subsets and bipartitions; ring tables are filled cell by cell,
 ideal sums and products take every pair of members, and nilpotency takes
@@ -19,7 +20,7 @@ import itertools
 import math
 
 from posemiring import harness
-from posemiring.census import _bounded_semilattices, _mul_backtrack
+from posemiring.census import _join_table, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
     ConditionReport,
@@ -178,6 +179,32 @@ def nilpotents(R):
     return frozenset(out)
 
 
+def linear_posets(n):
+    """Every bounded poset on 0..n-1 whose indices form a linear extension,
+    as its list of strict down-sets; census._linear_posets without the
+    down-set size order."""
+
+    def rec(i, below):
+        if i == n - 1:
+            yield below + [frozenset(range(n - 1))]
+            return
+        for r in range(i):
+            for extra in itertools.combinations(range(1, i), r):
+                s = frozenset((0,) + extra)
+                if all(below[j] <= s for j in s):
+                    yield from rec(i + 1, below + [s])
+
+    yield from rec(1, [frozenset()])
+
+
+def lattices(n):
+    """Join tables of every lattice from linear_posets(n)."""
+    for below in linear_posets(n):
+        tab = _join_table(below)
+        if tab is not None:
+            yield tab
+
+
 def join_table(below):
     """census._join_table by scanning all upper bounds of every pair."""
     n = len(below)
@@ -252,13 +279,15 @@ def burnside_counts(n):
     no census key: labelled = sum over lattice classes L of
     (n-2)!/|Aut L| * #mul(L), and classes = sum over L of
     (1/|Aut L|) * sum over g in Aut L of #{mul fixed by g}.  The classes
-    are told apart by their orbits and Aut L found by trying every
-    0,1-fixing permutation; the lattices and their multiplications come
-    from the census's own generation and row search."""
+    are told apart by the part of their orbits labelled by a linear
+    extension and Aut L found by trying every 0,1-fixing permutation; the
+    lattices come from every linear extension (not the census's
+    size-ordered labellings) and their multiplications from the census's
+    row search."""
     perms = list(_fixing_perms(n))
     seen = set()
     classes = labelled = 0
-    for add in _bounded_semilattices(n):
+    for add in lattices(n):
         flat = bytes(v for row in add for v in row)
         if flat in seen:
             continue
@@ -267,7 +296,10 @@ def burnside_counts(n):
                if image == flat]
         orbit = set(images)
         assert len(orbit) * len(aut) == math.factorial(n - 2)
-        seen |= orbit
+        less = [(x, y) for x in range(1, n - 1) for y in range(1, n - 1)
+                if x != y and add[x][y] == y]
+        seen.update(image for (perm, _), image in zip(perms, images)
+                    if all(perm[x] < perm[y] for x, y in less))
         muls = list(_mul_backtrack(n, add))
         labelled += len(orbit) * len(muls)
         fixed = sum(all(g[mul[x][y]] == mul[g[x]][g[y]]

@@ -56,11 +56,12 @@ class TestCounts:
 
     def test_burnside_count_oracle(self):
         # counted from the lattice automorphisms, with no census key
-        for n in range(2, 8):
+        for n in range(2, 9):
             result = enumerate_posemirings(n)
             got = oracles.burnside_counts(n)
             assert got == (result.count_up_to_iso, result.count_labeled)
-            assert got[0] == {2: 1, 3: 2, 4: 7, 5: 26, 6: 129, 7: 723}[n]
+            assert got[0] == {2: 1, 3: 2, 4: 7, 5: 26, 6: 129, 7: 723,
+                              8: 4712}[n]
 
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
@@ -73,7 +74,7 @@ class TestCounts:
             assert find_isomorphism(A, B) is None
 
     def test_naive_agrees_with_fast(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             fast = enumerate_posemirings(n, mode="fast")
             naive = enumerate_posemirings(n, mode="naive")
             assert fast.count_up_to_iso == naive.count_up_to_iso
@@ -86,26 +87,50 @@ class TestCounts:
         with pytest.raises(DomainError):
             enumerate_posemirings(1)
         with pytest.raises(DomainError):
-            enumerate_posemirings(9, mode="fast")
+            enumerate_posemirings(10, mode="fast")
         with pytest.raises(DomainError):
-            enumerate_posemirings(5, mode="naive")
+            enumerate_posemirings(6, mode="naive")
         with pytest.raises(DomainError):
             enumerate_posemirings(3, mode="exhaustive")
 
 
 class TestLattices:
     def test_join_table_equals_scan(self):
-        # every labelled poset, lattice or not, up to order 7 (320 lattices)
+        # every poset labelled by a linear extension, lattice or not, up to
+        # order 7 (408 posets, 320 lattices)
         for n in range(2, 8):
             lattices = 0
-            for below in _linear_posets(n):
+            for below in oracles.linear_posets(n):
                 got = _join_table(below)
                 assert got == oracles.join_table(below)
                 lattices += got is not None
             assert lattices == {2: 1, 3: 1, 4: 2, 5: 7, 6: 39, 7: 320}[n]
 
+    def test_generator_keeps_every_class_in_size_order(self):
+        # the size-ordered labellings reach the key of every labelled
+        # lattice; their classes are OEIS A006966
+        for n in range(2, 8):
+            perms = _fixing_perms(n)
+            labelled = list(_bounded_semilattices(n))
+            for add in labelled:
+                sizes = [(sum(row[x] == x for row in add),
+                          sum(v == y for y, v in enumerate(add[x])))
+                         for x in range(n)]
+                assert sizes == sorted(sizes)
+            keys = {_least_relabellings(add, perms)[0] for add in labelled}
+            assert keys == {_least_relabellings(add, perms)[0]
+                            for add in oracles.lattices(n)}
+            assert (len(keys), len(labelled)) == {
+                2: (1, 1), 3: (1, 1), 4: (2, 2), 5: (5, 5), 6: (15, 16),
+                7: (53, 64)}[n]
+            assert all(len(below[x]) <= len(below[x + 1])
+                       for below in _linear_posets(n) for x in range(n - 1))
+
     def test_order_eight_labelled_lattices(self):
-        assert sum(1 for _ in _bounded_semilattices(8)) == 3637
+        perms = _fixing_perms(8)
+        labelled = list(_bounded_semilattices(8))
+        keys = {_least_relabellings(add, perms)[0] for add in labelled}
+        assert (len(keys), len(labelled)) == (222, 318)
 
     def test_join_endomorphisms_equal_brute_force(self):
         # every labelled lattice and every lattice key up to order 6; the
@@ -119,7 +144,7 @@ class TestLattices:
 
         unsorted = 0    # keys with an element below one of smaller index
         for n in range(2, 7):
-            labelled = list(_bounded_semilattices(n))
+            labelled = list(oracles.lattices(n))
             perms = _fixing_perms(n)
             keys = dict.fromkeys(_least_relabellings(add, perms)[0]
                                  for add in labelled)
@@ -141,7 +166,7 @@ class TestMulSearch:
         for n in (3, 4, 5):
             one = n - 1
             cells = [(x, y) for x in range(1, one) for y in range(x, one)]
-            for add in _bounded_semilattices(n):
+            for add in oracles.lattices(n):
                 below = [[v for v in range(n)
                           if add[v][x] == x and add[v][y] == y]
                          for x, y in cells]
@@ -233,19 +258,25 @@ class TestRelabellingKernel:
         # n = 2 has no cell for pick; n = 3 has one
         for n in range(2, 8):
             perms = _fixing_perms(n)
-            for add in _bounded_semilattices(n):
+            for add in oracles.lattices(n):
                 self.agree(add, perms)
 
     def test_every_table_under_lattice_automorphisms(self):
+        # over Aut(L) on each lattice key, and as the census keys them: on
+        # the first labelled lattice of each class, over the coset of Aut(L)
+        # taking it to its key
         for n in range(2, 7):
             perms = _fixing_perms(n)
-            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
-                                     for add in _bounded_semilattices(n))
-            for key in lattices:
-                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
-                aut = _least_relabellings(add, perms)[1]    # Aut(L)
-                for mul in _mul_backtrack(n, add):
-                    self.agree(mul, aut)
+            lattices = {}
+            for add in _bounded_semilattices(n):
+                key, hits = _least_relabellings(add, perms)
+                lattices.setdefault(key, (add, hits))
+            for key, (add, hits) in lattices.items():
+                keyed = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                aut = _least_relabellings(keyed, perms)[1]
+                for lattice, coset in ((keyed, aut), (add, hits)):
+                    for mul in _mul_backtrack(n, lattice):
+                        self.agree(mul, coset)
 
 
 class TestKeysAgainstOracle:

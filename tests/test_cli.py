@@ -214,7 +214,7 @@ class TestEnumerate:
         assert data["classes"] == 7 and data["labeled"] == 13
 
     def test_out_of_range_exit_2(self, capsys):
-        code, _, err = run(capsys, "enumerate", "9")
+        code, _, err = run(capsys, "enumerate", "10")
         assert code == 2
 
 
@@ -426,11 +426,11 @@ class TestBoundedInputs:
                          prefix=f"error: file:{path}: ")
         assert "UTF-8" in err
 
-    @pytest.mark.parametrize("spec", ["census:1", "census:9"])
+    @pytest.mark.parametrize("spec", ["census:1", "census:10"])
     def test_census_corpus_out_of_range(self, capsys, spec):
         err = self.check(capsys, "theorems", "--corpus", spec,
                          prefix=f"error: {spec}: ")
-        assert "[2, 8]" in err
+        assert "[2, 9]" in err
 
     @pytest.mark.parametrize("op", ["semiring", "ag"])
     def test_over_cap_ideal_count(self, capsys, op):
