@@ -104,30 +104,24 @@ def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
 # Fast mode
 
 
-def _linear_posets(n: int):
-    """Yield bounded posets on 0..n-1 whose strict down-sets never shrink.
+def _linear_posets(n: int, below=(frozenset(),)):
+    """Yield bounded posets on 0..n-1 whose strict down-sets never shrink,
+    extending below, the strict down-sets of 0..len(below)-1 fixed so far.
 
     Each is the list of strict down-sets; 0 is the bottom and n-1 the top.
     Strict down-sets are built one element at a time, each at least as
     large as the one before, so the indices form a linear extension.
     """
-
-    def downsets(below, i):
-        ground = list(range(1, i))
-        for r in range(max(len(below[-1]) - 1, 0), len(ground) + 1):
-            for extra in itertools.combinations(ground, r):
-                s = frozenset((0,) + extra)
-                if all(below[j] <= s for j in s):
-                    yield s
-
-    def rec(i, below):
-        if i == n - 1:
-            yield below + [frozenset(range(n - 1))]
-            return
-        for s in downsets(below, i):
-            yield from rec(i + 1, below + [s])
-
-    yield from rec(1, [frozenset()])
+    i = len(below)
+    if i == n - 1:
+        yield [*below, frozenset(range(n - 1))]
+        return
+    ground = list(range(1, i))
+    for r in range(max(len(below[-1]) - 1, 0), len(ground) + 1):
+        for extra in itertools.combinations(ground, r):
+            s = frozenset((0,) + extra)
+            if all(below[j] <= s for j in s):
+                yield from _linear_posets(n, below + (s,))
 
 
 def _join_table(below):
@@ -247,24 +241,26 @@ def _mul_backtrack(n: int, add):
             key = bytes([f[b] for b in earlier[x]])
             candidates[x].setdefault(key, []).append((f, f + pad))
     rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
-    maps = [None] * n
+    yield from _place_rows(0, order, earlier, candidates, rows, [None] * n)
 
-    def rec(k):
-        if k == len(order):
-            yield tuple(map(tuple, rows))
-            return
-        x = order[k]
-        key = bytes([rows[b][x] for b in earlier[x]])
-        for f, fmap in candidates[x].get(key, ()):
-            rows[x] = f
-            if f.translate(fmap) == rows[f[x]] and all(
-                    rows[b].translate(fmap) == rows[f[b]]
-                    == f.translate(maps[b]) for b in earlier[x]):
-                maps[x] = fmap
-                yield from rec(k + 1)
-        rows[x] = None
 
-    yield from rec(0)
+def _place_rows(k, order, earlier, candidates, rows, maps):
+    """_mul_backtrack's search from order[k] on: fill rows[x] and maps[x],
+    yielding each completed table."""
+    if k == len(order):
+        yield tuple(map(tuple, rows))
+        return
+    x = order[k]
+    key = bytes([rows[b][x] for b in earlier[x]])
+    for f, fmap in candidates[x].get(key, ()):
+        rows[x] = f
+        if f.translate(fmap) == rows[f[x]] and all(
+                rows[b].translate(fmap) == rows[f[b]]
+                == f.translate(maps[b]) for b in earlier[x]):
+            maps[x] = fmap
+            yield from _place_rows(k + 1, order, earlier, candidates, rows,
+                                   maps)
+    rows[x] = None
 
 
 def _least_relabellings(tab, perms):

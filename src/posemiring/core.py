@@ -290,9 +290,8 @@ class ElementAnalysis:
     ``down[x]`` is the bit mask of the down-set {y : y <= x}: bit y is set
     when add[y][x] == x.  analyze_elements builds it together with the
     up-sets in one pass over the add rows; the minimal, maximal and prime
-    elements are read from it, and so are the lower-set sizes of the
-    isomorphism invariants and the order tests of the P2.13 and P2.16
-    checks.  It takes no part in equality or hashing.
+    elements are read from it, and so are the order tests of the P2.13 and
+    P2.16 checks.  It takes no part in equality or hashing.
     """
     zero_divisors: frozenset[int]
     nilpotency: dict[int, int] = field(hash=False)
@@ -568,18 +567,17 @@ def check_conditions(A: PoSemiringTable) -> ConditionReport:
     the minimal idempotent nonzero elements u: each u needs a nonzero
     idempotent w <= u with an orthogonal complement v, witnessed by the
     least such (w, v).  Below a minimal u the only candidate w is u.
-    Minimality and w <= u are read from order_index(A)'s down-set masks."""
-    down = order_index(A)[1]
+    Minimality and w <= u are read from the column add[.][u]."""
+    add = A.add
     c1 = [u for u in A.nonzero() if nilpotency_index(A, u) is None]
     c2 = [u for u in A.nonzero() if is_idempotent(A, u)]
-    c3 = [u for u in c2 if not down[u] & ~(1 << u | 1)]
+    c3 = [u for u in c2 if is_minimal_element(A, u)]
     complemented = [p for p in A.splits[A.one] if p[0] != 0]
     cex = {}
     wit = {"c1": {}, "c2": {}, "c3": {}}
     for key, family in (("c1", c1), ("c2", c2), ("c3", c3)):
         for u in family:
-            below = down[u]
-            pair = next((p for p in complemented if below >> p[0] & 1), None)
+            pair = next((p for p in complemented if add[p[0]][u] == u), None)
             if pair is None:
                 cex.setdefault(key, u)
             else:
@@ -616,22 +614,18 @@ def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
 # Isomorphism
 
 
-def _invariant_vectors(A: PoSemiringTable, ana: ElementAnalysis) -> list:
-    """Per element: flags, nilpotency index, membership in the analysed
-    sets, the size of its down-set and the size of its annihilator."""
-    one, mul = A.one, A.mul
+def _invariant_vectors(A: PoSemiringTable) -> list:
+    """Per element: idempotency, nilpotency index (0 when none), and the
+    sizes of its up-set, down-set and annihilator.  An isomorphism keeps
+    each of them, so they only prune the search."""
+    up, down = order_index(A)
     return [(
-        x == 0,
-        x == one,
-        mul[x][x] == x,
-        ana.nilpotency.get(x, 0),
-        x in ana.zero_divisors,
-        x in ana.primes,
-        x in ana.minimals,
-        x in ana.maximals,
-        ana.down[x].bit_count(),
+        A.mul[x][x] == x,
+        x and nilpotency_index(A, x) or 0,
+        up[x].bit_count(),
+        down[x].bit_count(),
         col.count(0),
-    ) for x, col in enumerate(zip(*mul))]
+    ) for x, col in enumerate(zip(*A.mul))]
 
 
 def _transports(A: PoSemiringTable, B: PoSemiringTable, perm) -> bool:
@@ -647,14 +641,15 @@ def _transports(A: PoSemiringTable, B: PoSemiringTable, perm) -> bool:
 def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
     """A bijection of indices fixing 0 and 1 that transports both tables.
 
-    Backtracking over assignments with invariant-vector pruning; None when
-    the instances are not isomorphic.
+    Backtracking over assignments with invariant-vector pruning; the first
+    bijection found is the lexicographically least one.  None when the
+    instances are not isomorphic.
     """
     if A.order != B.order:
         return None
     n = A.order
-    inv_a = _invariant_vectors(A, analyze_elements(A))
-    inv_b = _invariant_vectors(B, analyze_elements(B))
+    inv_a = _invariant_vectors(A)
+    inv_b = _invariant_vectors(B)
     if sorted(inv_a) != sorted(inv_b):
         return None
 

@@ -8,6 +8,7 @@ instances; such checks carry the note "finite-case".
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -33,8 +34,14 @@ from .core import (
 from .graphs import classify_shape, graph_metrics
 
 
+@cache
+def _verdict(status, note=""):
+    """One shared result per (status, note); every such note is a literal."""
+    return CheckResult(status, note=note)
+
+
 def _pass():
-    return CheckResult("pass")
+    return _verdict("pass")
 
 
 def _fail(witness):
@@ -42,7 +49,7 @@ def _fail(witness):
 
 
 def _na(note):
-    return CheckResult("not-applicable", note=note)
+    return _verdict("not-applicable", note)
 
 
 @dataclass(frozen=True)
@@ -695,12 +702,15 @@ class TheoremReport:
 
 
 def run_catalog(corpus: Corpus, check_ids=None) -> TheoremReport:
-    selected = [c for c in CATALOG
-                if check_ids is None or c.id in set(check_ids)]
+    """Verify every po-semiring instance, then run the selected checks on
+    one instance's contexts at a time; pair bases share one Ctx per table."""
     if check_ids is not None:
-        unknown = set(check_ids) - {c.id for c in CATALOG}
+        unknown = set(check_ids) - set(CHECK_IDS)
         if unknown:
             raise StructureError(f"unknown check ids {sorted(unknown)}")
+    scoped = {scope: [c for c in CATALOG if c.scope == scope
+                      and (check_ids is None or c.id in check_ids)]
+              for scope in ("posemiring", "product-pair", "ring")}
 
     for iid, A in corpus.posemirings:
         rep = verify_axioms(A)
@@ -708,31 +718,25 @@ def run_catalog(corpus: Corpus, check_ids=None) -> TheoremReport:
             raise StructureError(
                 f"corpus instance {iid} is invalid: {rep.violations[0]}")
 
-    ctxs = [(iid, Ctx(A)) for iid, A in corpus.posemirings]
-    pair_ctxs = [(iid, Ctx(a), Ctx(b), Ctx(cons.direct_product(a, b)))
-                 for iid, a, b in corpus.pairs]
-    ring_ctxs = [(iid, RingCtx(R)) for iid, R in corpus.rings]
-
     results = []
-    for check in selected:
-        if check.scope == "posemiring":
-            for iid, ctx in ctxs:
-                results.append((check.id, iid, _run(check, ctx)))
-        elif check.scope == "product-pair":
-            for iid, c1, c2, cp in pair_ctxs:
-                results.append((check.id, iid, _run(check, c1, c2, cp)))
-        else:
-            for iid, rctx in ring_ctxs:
-                results.append((check.id, iid, _run(check, rctx)))
+    for iid, A in corpus.posemirings:
+        results += _run(scoped["posemiring"], iid, Ctx(A))
+    base = cache(Ctx)
+    for iid, a, b in corpus.pairs:
+        results += _run(scoped["product-pair"], iid, base(a), base(b),
+                        Ctx(cons.direct_product(a, b)))
+    for iid, R in corpus.rings:
+        results += _run(scoped["ring"], iid, RingCtx(R))
     results.sort(key=lambda row: (row[0], row[1]))
     return TheoremReport(results=results)
 
 
-def _run(check, *args):
-    res = check.fn(*args)
-    if check.note and res.status == "pass":
-        return CheckResult("pass", note=check.note)
-    return res
+def _run(checks, iid, *args):
+    for check in checks:
+        res = check.fn(*args)
+        if check.note and res.status == "pass":
+            res = _verdict("pass", check.note)
+        yield check.id, iid, res
 
 
 # ---------------------------------------------------------------------------
@@ -779,18 +783,12 @@ def construction_grid(max_k: int = 3) -> Corpus:
 
 
 def census_pairs(max_n: int = 3) -> list:
-    from .census import enumerate_posemirings
+    return _product_pairs(census_corpus(max_n).posemirings)
 
-    bases = []
-    for n in range(2, max_n + 1):
-        result = enumerate_posemirings(n, mode="fast")
-        for i, A in enumerate(result.instances):
-            bases.append((f"census{n}-{i}", A))
-    pairs = []
-    for i, (ida, A) in enumerate(bases):
-        for idb, B in bases[i:]:
-            pairs.append((f"{ida}*{idb}", A, B))
-    return pairs
+
+def _product_pairs(bases) -> list:
+    return [(f"{ida}*{idb}", A, B) for (ida, A), (idb, B)
+            in itertools.combinations_with_replacement(bases, 2)]
 
 
 def default_ring_corpus(max_zn: int = 64) -> list:
@@ -812,8 +810,13 @@ def default_ring_corpus(max_zn: int = 64) -> list:
 
 
 def full_corpus(census_max_n: int = 5, pair_max_n: int = 3) -> Corpus:
-    corpus = census_corpus(census_max_n)
-    grid = construction_grid()
-    corpus.posemirings.extend(grid.posemirings)
-    corpus.pairs.extend(census_pairs(pair_max_n))
+    """The census to census_max_n, the construction grid, and the pairs of
+    census instances up to pair_max_n, from one census run per order."""
+    corpus = census_corpus(max(census_max_n, pair_max_n))
+    bases = [(iid, A) for iid, A in corpus.posemirings
+             if A.order <= pair_max_n]
+    corpus.posemirings = [(iid, A) for iid, A in corpus.posemirings
+                          if A.order <= census_max_n]
+    corpus.posemirings.extend(construction_grid().posemirings)
+    corpus.pairs.extend(_product_pairs(bases))
     return corpus

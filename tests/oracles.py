@@ -693,13 +693,13 @@ def analyze_elements(A):
     )
 
 
-def invariant_vectors(A, ana):
-    """core._invariant_vectors with the down-set and annihilator of each
-    element collected as sets."""
-    return [(x == 0, x == A.one, is_idempotent(A, x), ana.nilpotency.get(x, 0),
-             x in ana.zero_divisors, x in ana.primes, x in ana.minimals,
-             x in ana.maximals, len(lower_members(A, x)),
-             len(annihilator_members(A, x)))
+def invariant_vectors(A):
+    """core._invariant_vectors with each up-set, down-set and annihilator
+    collected as a set by A.leq and mul scans, and nilpotency over every
+    power."""
+    return [(is_idempotent(A, x), x and nilpotency_index(A, x) or 0,
+             sum(A.leq(x, y) for y in A.elements()),
+             len(lower_members(A, x)), len(annihilator_members(A, x)))
             for x in A.elements()]
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -310,6 +311,16 @@ class TestAutomorphisms:
             total = sum(math.factorial(n - 2) // oracles.automorphism_count(A)
                         for A in result.instances)
             assert total == result.count_labeled
+
+
+class TestNoCyclicGarbage:
+    """The census frees everything it allocates by reference counting."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_census_leaves_no_cycles(self, n):
+        gc.collect()
+        enumerate_posemirings(n)
+        assert gc.collect() == 0
 
 
 class TestKnownClassesAppear:

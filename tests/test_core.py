@@ -192,6 +192,15 @@ class TestConditions:
         cond = check_conditions(cons.boolean_power(2))
         assert cond.c1 and cond.c2 and cond.c3
 
+    def test_builds_no_down_set_index(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("order_index called")
+
+        monkeypatch.setattr(core, "order_index", refuse)
+        for A in (cons.boolean_power(3), cons.example_2_6(2),
+                  cons.example_3_2(2)):
+            assert check_conditions(A).c3
+
     def test_witnesses_are_orthogonal_pairs(self):
         A = cons.boolean_power(2)
         cond = check_conditions(A)
@@ -253,7 +262,7 @@ class TestIsomorphism:
         B = chain3_idempotent()
         assert find_isomorphism(A, B) is None
 
-    def test_analyses_each_side_once(self, monkeypatch):
+    def test_makes_no_element_analysis(self, monkeypatch):
         calls = []
         analyze = core.analyze_elements
 
@@ -264,11 +273,7 @@ class TestIsomorphism:
         monkeypatch.setattr(core, "analyze_elements", counting)
         A, B = cons.boolean_power(3), cons.chain_lattice(6)
         assert find_isomorphism(A, A) is not None
-        assert calls == [A, A]
-        calls.clear()
         assert find_isomorphism(A, B) is None
-        assert calls == [A, B]
-        calls.clear()
         assert find_isomorphism(A, cons.boolean_power(2)) is None
         assert calls == []
 
@@ -371,8 +376,7 @@ def assert_analysis_matches_oracle(A, each_element=True):
     ana, want = analyze_elements(A), oracles.analyze_elements(A)
     for f in dataclasses.fields(core.ElementAnalysis):
         assert getattr(ana, f.name) == getattr(want, f.name), f.name
-    assert core._invariant_vectors(A, ana) == \
-        oracles.invariant_vectors(A, want)
+    assert core._invariant_vectors(A) == oracles.invariant_vectors(A)
     if each_element:
         for x in A.elements():
             assert is_prime_element(A, x) == (x in want.primes)

@@ -89,8 +89,8 @@ class TestFiniteCaseAnnotation:
 class TestSharedAnalysis:
     def test_sub_tables_get_no_analysis(self, monkeypatch, census_instances):
         # T3.5b, T4.2, P4.5 and P4.8 read Z(S) and minimal idempotents of
-        # their split, recovered or peeled base directly; the only analyses
-        # left are find_isomorphism's, on tables of the instance's order
+        # their split, recovered or peeled base directly, and
+        # find_isomorphism reads its invariants from the tables
         grid = [A for _, A in harness.construction_grid().posemirings]
         two_stars = [cons.direct_product(cons.trivial(),
                                          cons.adjoin_z1(cons.chain_lattice(k)))
@@ -118,9 +118,29 @@ class TestSharedAnalysis:
                 calls.clear()
                 res = chk(ctx)
                 assert res.status != "fail"
-                assert all(A.order == ctx.A.order for A in calls)
+                assert calls == []
                 applied[chk.__name__] += res.status == "pass"
         assert min(applied.values()) > 0
+
+    def test_pair_bases_analysed_once_each(self, monkeypatch):
+        calls = []
+        analyze = harness.analyze_elements
+
+        def counting(A):
+            calls.append(A)
+            return analyze(A)
+
+        monkeypatch.setattr(harness, "analyze_elements", counting)
+        pairs = harness.census_pairs(3)
+        # equal tables built apart share their Ctx too
+        pairs += [(f"copy-{iid}", make_table(A.order, A.names, A.add, A.mul),
+                   B) for iid, A, B in pairs]
+        bases = {A for _, A, B in pairs} | {B for _, A, B in pairs}
+        report = harness.run_catalog(harness.Corpus(pairs=pairs))
+        assert not report.failures
+        assert Counter(A for A in calls if A.order <= 3) == \
+            Counter(bases)
+        assert len(bases) == 3
 
 
 class TestSmallZOnce:
@@ -289,6 +309,26 @@ class TestCorpusBuilders:
         assert len(pairs) == 6          # 3 bases -> 6 unordered pairs
         for _, A, B in pairs:
             assert 2 <= A.order <= 3 and 2 <= B.order <= 3
+
+    def test_full_corpus_runs_the_census_once_per_order(self, monkeypatch):
+        from posemiring import census
+
+        calls = []
+        enumerate_fast = census.enumerate_posemirings
+
+        def counting(n, mode="fast"):
+            calls.append(n)
+            return enumerate_fast(n, mode)
+
+        monkeypatch.setattr(census, "enumerate_posemirings", counting)
+        for n in (2, 3, 5):
+            calls.clear()
+            corpus = harness.full_corpus(n, 3)
+            assert sorted(calls) == list(range(2, max(n, 3) + 1))
+            assert corpus.pairs == harness.census_pairs(3)
+            assert [iid for iid, _ in corpus.posemirings] == [
+                iid for iid, _ in harness.census_corpus(n).posemirings
+                + harness.construction_grid().posemirings]
 
     def test_default_ring_corpus_size(self):
         rings = harness.default_ring_corpus()
