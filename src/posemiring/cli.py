@@ -111,8 +111,8 @@ def cmd_analyze(args):
     return 0
 
 
-def _shape_payload(G, shape):
-    m = shape.metrics
+def _shape_payload(shape):
+    G, m = shape.graph, shape.metrics
     return {
         "shape": shape.tag,
         "params": list(shape.params),
@@ -129,15 +129,15 @@ def _shape_payload(G, shape):
     }
 
 
-def _graph_output(args, A, G):
-    shape = classify_shape(G)
+def _graph_output(args, A, shape):
+    G = shape.graph
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(G, A.names))
     if args.shape:
         print(shape.line())
         return 0
-    payload = _shape_payload(G, shape)
+    payload = _shape_payload(shape)
     payload["vertex_names"] = [A.names[v] for v in G.vertices]
     m = shape.metrics
     lines = [shape.line(),
@@ -150,7 +150,7 @@ def _graph_output(args, A, G):
 
 def cmd_graph(args):
     A = _load_instance(args.input)
-    return _graph_output(args, A, cons.posemiring_zdgraph(A))
+    return _graph_output(args, A, classify_shape(cons.posemiring_zdgraph(A)))
 
 
 def _write_psr(A, as_json: bool, output=None):
@@ -230,11 +230,11 @@ def _ring_op(args, R):
         table, _ = ringlab.ideal_semiring(R)
         return _write_psr(table, args.json)
     if args.op == "ag":
-        graph, _, table = ringlab.annihilating_ideal_graph(R)
-        return _graph_output(args, table, graph)
+        _, shape, table = ringlab.annihilating_ideal_graph(R)
+        return _graph_output(args, table, shape)
     if args.op == "zdgraph":
-        graph, _ = ringlab.ring_zdgraph(R)
-        return _graph_output(args, R, graph)
+        _, shape = ringlab.ring_zdgraph(R)
+        return _graph_output(args, R, shape)
     if args.op == "radicals":
         rad = ringlab.radicals(R)
         payload = {

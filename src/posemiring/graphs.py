@@ -1,49 +1,59 @@
-"""Zero-divisor graphs: construction, metrics, shape classification, DOT export."""
+"""Zero-divisor graphs: construction, metrics, shape classification, DOT export.
+
+A graph is one neighbourhood bit mask per vertex; shapes are read from the
+degrees and masks, and the metrics are computed on first read.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import StructureError
+from .core import ByteTable, StructureError, commutative_witness, row_witness
 
 INF = math.inf
 
 
 @dataclass(frozen=True)
 class ZdGraph:
-    vertices: tuple[int, ...]            # element indices in the source table
-    adjacency: tuple[tuple[bool, ...], ...]  # by vertex position, symmetric
+    vertices: tuple[int, ...]   # element indices in the source table
+    masks: tuple[int, ...]      # by vertex position: bit j of masks[i] is
+                                # set when vertices i and j are adjacent
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def neighbors(self, i: int):
-        return [j for j in range(self.n) if self.adjacency[i][j]]
+        return _members(self.masks[i])
 
     def degree(self, i: int) -> int:
-        return sum(self.adjacency[i])
+        return self.masks[i].bit_count()
 
     def edges(self):
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if self.adjacency[i][j]]
+        return [(i, j) for i, m in enumerate(self.masks)
+                for j in _members(m) if j > i]
 
 
 def build_zdgraph(mul) -> ZdGraph:
-    """Graph on the nonzero zero divisors of a commutative table with 0 at index 0."""
-    n = len(mul)
-    for x in range(n):
-        for y in range(n):
-            if mul[x][y] != mul[y][x]:
-                raise StructureError(f"multiplication not commutative at ({x}, {y})")
-        if mul[0][x] != 0:
-            raise StructureError(f"0 does not absorb element {x}")
-    vertices = tuple(x for x in range(1, n)
-                     if any(mul[x][y] == 0 for y in range(1, n)))
-    adjacency = tuple(
-        tuple(x != y and mul[x][y] == 0 for y in vertices) for x in vertices)
-    return ZdGraph(vertices=vertices, adjacency=adjacency)
+    """Graph on the nonzero zero divisors of a commutative table with 0 at index 0.
+
+    The least commutativity witness (x, y) is reported before a
+    non-absorbed element x0 when x <= x0, as a row-by-row scan would.
+    """
+    t = ByteTable(mul)
+    swap = commutative_witness(t)
+    absorb = row_witness(t.rows[0], bytes(t.n))
+    if swap and not (absorb and absorb[0] < swap[0]):
+        raise StructureError(f"multiplication not commutative at {swap}")
+    if absorb:
+        raise StructureError(f"0 does not absorb element {absorb[0]}")
+    rows = t.rows
+    vertices = tuple(x for x in range(1, t.n) if 0 in rows[x][1:])
+    masks = tuple(sum(1 << j for j, y in enumerate(vertices)
+                      if y != x and rows[x][y] == 0) for x in vertices)
+    return ZdGraph(vertices=vertices, masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +134,8 @@ def graph_metrics(G: ZdGraph) -> GraphMetrics:
                             component_count=0, eccentricity=(),
                             triangle_free=True, quadrilateral_free=True,
                             maximal_cliques=())
-    nbrs = [G.neighbors(v) for v in range(G.n)]
-    masks = [sum(1 << w for w in nb) for nb in nbrs]
+    masks = G.masks
+    nbrs = list(map(_members, masks))
     dist, cycles = zip(*(_bfs(nbrs, s) for s in range(G.n)))
     ecc = tuple(map(max, dist))
     cliques = _maximal_cliques(masks)
@@ -156,7 +166,11 @@ class GraphShape:
     tag: str            # empty | single-vertex | complete | star | two-star |
                         # complete-bipartite | forest | cyclic
     params: tuple[int, ...]
-    metrics: GraphMetrics
+    graph: ZdGraph = field(compare=False, repr=False)
+
+    @cached_property
+    def metrics(self) -> GraphMetrics:
+        return graph_metrics(self.graph)
 
     def line(self) -> str:
         if self.tag == "complete":
@@ -174,67 +188,38 @@ class GraphShape:
         return self.tag
 
 
-def _star_params(G: ZdGraph):
-    degs = [G.degree(i) for i in range(G.n)]
-    centers = [i for i, d in enumerate(degs) if d == G.n - 1]
-    if len(centers) == 1 and all(d == 1 for i, d in enumerate(degs)
-                                 if i != centers[0]):
-        return (G.n - 1,)
-    return None
-
-
-def _two_star_params(G: ZdGraph):
-    for u, v in G.edges():
-        rest = [w for w in range(G.n) if w not in (u, v)]
-        if not rest:
-            continue
-        ok = True
-        for w in rest:
-            nb = G.neighbors(w)
-            if nb != [u] and nb != [v]:
-                ok = False
-                break
-        if ok:
-            r = sum(1 for w in rest if G.neighbors(w) == [u])
-            s = len(rest) - r
-            if r >= 1 and s >= 1:
-                return tuple(sorted((r, s)))
-    return None
-
-
-def _complete_bipartite_params(G: ZdGraph):
-    """(m, n) with m <= n when G is K_{m,n}, else None.
-
-    G is complete bipartite exactly when the neighbourhoods N(v) take two
-    values: no v lies in its own N(v), so the vertices sharing one value
-    form the other value, and those two sets are the parts.
-    """
-    parts = {frozenset(G.neighbors(v)) for v in range(G.n)}
-    return tuple(sorted(map(len, parts))) if len(parts) == 2 else None
-
-
 def classify_shape(G: ZdGraph) -> GraphShape:
-    """Deterministic shape tag under a fixed precedence; K2 reports as complete."""
+    """Deterministic shape tag under a fixed precedence; K2 reports as complete.
+
+    Every tag but forest and cyclic is read from the degrees and masks:
+    a two-star is an edge u-v whose ends both have degree >= 2 while every
+    other vertex is a leaf on u or on v, and K_{m,n} is a graph whose
+    masks take exactly two values (no v lies in its own mask, so the
+    vertices sharing one value form the other, and those are the parts).
+    """
+    n, masks = G.n, G.masks
+    if n <= 1:
+        return GraphShape("empty" if n == 0 else "single-vertex", (), G)
+    degrees = [m.bit_count() for m in masks]
+    nedges = sum(degrees) // 2
+    if nedges == n * (n - 1) // 2:
+        return GraphShape("complete", (n,), G)
+    if nedges == n - 1 and n - 1 in degrees:
+        return GraphShape("star", (n - 1,), G)
+    hubs = [v for v, d in enumerate(degrees) if d >= 2]
+    if len(hubs) == 2 and masks[hubs[0]] >> hubs[1] & 1:
+        r, s = (masks.count(1 << v) for v in hubs)     # leaves on each
+        if r + s == n - 2:
+            return GraphShape("two-star", tuple(sorted((r, s))), G)
+    parts = set(masks)
+    if len(parts) == 2:
+        return GraphShape("complete-bipartite",
+                          tuple(sorted(m.bit_count() for m in parts)), G)
     m = graph_metrics(G)
-    nedges = len(G.edges())
-    if G.n == 0:
-        return GraphShape("empty", (), m)
-    if G.n == 1:
-        return GraphShape("single-vertex", (), m)
-    if nedges == G.n * (G.n - 1) // 2:
-        return GraphShape("complete", (G.n,), m)
-    params = _star_params(G)
-    if params and params[0] >= 2:
-        return GraphShape("star", params, m)
-    params = _two_star_params(G)
-    if params:
-        return GraphShape("two-star", params, m)
-    params = _complete_bipartite_params(G)
-    if params:
-        return GraphShape("complete-bipartite", params, m)
-    if nedges == G.n - m.component_count:
-        return GraphShape("forest", (), m)
-    return GraphShape("cyclic", (), m)
+    shape = GraphShape("forest" if nedges == n - m.component_count
+                       else "cyclic", (), G)
+    shape.__dict__["metrics"] = m       # cached_property's slot: no rerun
+    return shape
 
 
 # ---------------------------------------------------------------------------

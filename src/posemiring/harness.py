@@ -166,12 +166,10 @@ def chk_p21c(ctx):
     return _pass()
 
 
-def _chain_hypotheses(ctx):
-    return ctx.cond.c1 or ctx.cond.c2
-
-
+# T2.2, T2.2t and T3.1 assume (C1) or (C2); on a finite table (C1) is
+# (C2) (see core.check_conditions), so they test c2 alone
 def chk_t22(ctx):
-    if not _chain_hypotheses(ctx):
+    if not ctx.cond.c2:
         return _na("neither (C1) nor (C2) holds")
     expected = frozenset(x for x in ctx.A.nonzero() if x != ctx.A.one)
     if ctx.zset != expected:
@@ -180,7 +178,7 @@ def chk_t22(ctx):
 
 
 def chk_t22_tail(ctx):
-    if not _chain_hypotheses(ctx):
+    if not ctx.cond.c2:
         return _na("neither (C1) nor (C2) holds")
     A = ctx.A
     complemented = {e for e, _ in A.splits[A.one]} - {0, A.one}
@@ -261,7 +259,7 @@ def chk_p216(ctx):
 
 
 def chk_t31(ctx):
-    if not _chain_hypotheses(ctx):
+    if not ctx.cond.c2:
         return _na("neither (C1) nor (C2) holds")
     if not ctx.zset:
         return _na("instance is integral")
@@ -274,17 +272,17 @@ def chk_l34a(ctx):
     if not ctx.zset:
         return _na("Z(A) is empty")
     G = ctx.graph
-    for u in range(G.n):
+    masks = G.masks
+    for u, x in enumerate(G.vertices):
+        if x in ctx.ana.minimals:
+            continue
         nb = G.neighbors(u)
         for i, a in enumerate(nb):
             for b in nb[i + 1:]:
-                if G.adjacency[a][b]:
-                    continue        # path sits in a triangle
-                if any(G.adjacency[a][w] and G.adjacency[w][b]
-                       for w in range(G.n) if w not in (a, u, b)):
-                    continue        # path sits in a quadrilateral
-                if G.vertices[u] not in ctx.ana.minimals:
-                    return _fail((G.vertices[a], G.vertices[u], G.vertices[b]))
+                # a-u-b closes a triangle when a ~ b, and a quadrilateral
+                # when a and b have a common neighbour besides u
+                if not (masks[a] >> b & 1 or masks[a] & masks[b] & ~(1 << u)):
+                    return _fail((G.vertices[a], x, G.vertices[b]))
     return _pass()
 
 
@@ -534,8 +532,6 @@ def chk_r12(rctx):
         return _fail("I(R) fails (C3)")
     if not cond.c2:
         return _fail("I(R) fails (C2)")
-    if not cond.c1:
-        return _fail("I(R) fails (C1)")
     if rctx.rad.jacobson.members != rctx.rad.nilradical.members:
         return _fail(("J != N", sorted(rctx.rad.jacobson.members),
                       sorted(rctx.rad.nilradical.members)))

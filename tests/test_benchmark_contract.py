@@ -1,4 +1,5 @@
-"""Every name the benchmark traces must resolve in the modules it names.
+"""Every name the benchmark traces must resolve in the modules it names,
+and every catalog check must be a per-layer metric of BENCHMARK.json.
 
 perfbench/spans.py wraps these functions from outside the package and
 records a missing one as absent, which would silently zero its metric.
@@ -6,6 +7,7 @@ records a missing one as absent, which would silently zero its metric.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -39,3 +41,16 @@ def test_catalog_is_a_list_of_checks():
 
     assert isinstance(harness.CATALOG, list)
     assert all(callable(check.fn) for check in harness.CATALOG)
+
+
+def test_catalog_ids_are_the_benchmark_check_metrics():
+    # a traced run reports one harness.check.<id>.self_s per catalog entry,
+    # so adding, dropping or renaming a check changes the benchmark's keys
+    from posemiring import harness
+
+    declared = json.loads((SPANS.parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["per_layer"]]
+    prefix, suffix = "harness.check.", ".self_s"
+    traced = [name[len(prefix):-len(suffix)] for name in names
+              if name.startswith(prefix) and name.endswith(suffix)]
+    assert sorted(traced) == sorted(check.id for check in harness.CATALOG)

@@ -18,11 +18,11 @@ from posemiring.graphs import (
 
 
 def graph_from_edges(n, edges):
-    adj = [[False] * n for _ in range(n)]
+    masks = [0] * n
     for a, b in edges:
-        adj[a][b] = adj[b][a] = True
-    return ZdGraph(vertices=tuple(range(1, n + 1)),
-                   adjacency=tuple(tuple(r) for r in adj))
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return ZdGraph(vertices=tuple(range(1, n + 1)), masks=tuple(masks))
 
 
 class TestBuild:
@@ -40,6 +40,33 @@ class TestBuild:
         mul = [[0, 1], [1, 1]]
         with pytest.raises(StructureError):
             build_zdgraph(mul)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_cell_scan(self, data):
+        # a commutative table with absorbing 0, then a few cells mutated,
+        # each one alone or together with its mirror cell
+        n = data.draw(st.integers(2, 12))
+        value = st.one_of(st.just(0), st.integers(0, n - 1))
+        mul = [[0] * n for _ in range(n)]
+        for x in range(1, n):
+            for y in range(x, n):
+                mul[x][y] = mul[y][x] = data.draw(value)
+        cell = st.integers(0, n - 1)
+        for x, y, v, mirror in data.draw(st.lists(
+                st.tuples(cell, cell, cell, st.booleans()), max_size=3)):
+            mul[x][y] = v
+            if mirror:
+                mul[y][x] = v
+        try:
+            want = oracles.build_zdgraph(mul)
+        except StructureError as exc:
+            with pytest.raises(StructureError) as got:
+                build_zdgraph(mul)
+            assert str(got.value) == str(exc)
+        else:
+            G = build_zdgraph(mul)
+            assert (G.vertices, oracles.adjacency(G)) == want
 
 
 class TestMetrics:
@@ -109,8 +136,9 @@ class TestOracle:
         count = 0
         for n in range(6):
             for G in labelled_graphs(n):
-                # a shape carries its metrics, so this compares both
-                assert classify_shape(G) == oracles.classify_shape(G)
+                s = classify_shape(G)
+                assert (s, s.metrics) == (oracles.classify_shape(G),
+                                          oracles.graph_metrics(G))
                 count += 1
         assert count == 1 + 1 + 2 + 8 + 64 + 1024
 
@@ -118,7 +146,9 @@ class TestOracle:
               suppress_health_check=[HealthCheck.too_slow])
     @given(graphs())
     def test_graphs_of_six_to_nine_vertices(self, G):
-        assert classify_shape(G) == oracles.classify_shape(G)
+        s = classify_shape(G)
+        assert (s, s.metrics) == (oracles.classify_shape(G),
+                                  oracles.graph_metrics(G))
 
 
 class TestShapes:

@@ -9,6 +9,7 @@ from posemiring import constructions as cons
 from posemiring import core, harness, ringlab
 from posemiring.census import enumerate_posemirings
 from posemiring.core import StructureError, make_table
+from posemiring.graphs import ZdGraph
 
 
 def single_instance_corpus(name, A):
@@ -254,6 +255,42 @@ class TestFailureDetection:
         B = make_table(A.order, A.names, A.add, mul)
         res = harness.chk_l41a(harness.Ctx(B))
         assert res.status in ("fail", "not-applicable")
+
+
+def l34a_on(edges, minimals=()):
+    """chk_l34a on a hand-built context: vertices 1..6 of the given edges
+    (element labels), with the given minimal elements."""
+    masks = [0] * 6
+    for a, b in edges:
+        masks[a - 1] |= 1 << b - 1
+        masks[b - 1] |= 1 << a - 1
+    G = ZdGraph(vertices=tuple(range(1, 7)), masks=tuple(masks))
+    ctx = SimpleNamespace(zset=frozenset(G.vertices), graph=G,
+                          ana=SimpleNamespace(minimals=frozenset(minimals)))
+    return harness.chk_l34a(ctx)
+
+
+class TestL34a:
+    """L3.4a: a path a-u-b outside every triangle and quadrilateral has a
+    minimal middle vertex u."""
+
+    def test_bare_path_fails_with_its_triple(self):
+        assert l34a_on([(1, 2), (2, 3)]) == harness._fail((1, 2, 3))
+
+    def test_bare_path_passes_with_minimal_middle(self):
+        assert l34a_on([(1, 2), (2, 3)], minimals={2}).status == "pass"
+
+    def test_only_common_neighbour_is_the_middle(self):
+        # a = 1 and b = 3 have further neighbours, but none in common
+        edges = [(1, 2), (2, 3), (1, 4), (3, 5), (4, 6), (5, 6)]
+        res = l34a_on(edges, minimals={1, 3, 4, 5, 6})
+        assert res == harness._fail((1, 2, 3))
+
+    def test_path_inside_a_quadrilateral_passes(self):
+        assert l34a_on([(1, 2), (2, 3), (3, 4), (4, 1)]).status == "pass"
+
+    def test_path_inside_a_triangle_passes(self):
+        assert l34a_on([(1, 2), (2, 3), (3, 1)]).status == "pass"
 
 
 class TestProductPairChecks:
