@@ -4,11 +4,14 @@ Fast mode enumerates bounded join-semilattice addition tables, labelled so
 that (down-set size, up-set size) never decreases (every lattice has such a
 labelling, so no isomorphism class is lost), and keeps the first labelled
 lattice of each class with the permutations taking it to its canonical key.
-On each it searches the multiplication tables row by row: every row is a
-join-endomorphism of the lattice below the identity, commutativity picks the
-candidates for a row, and associativity is checked as composition of rows.
-Each table is keyed over those permutations.  A naive table-pair sweep
-serves as an independent oracle at small orders.
+On each it searches the multiplication tables row by row on flat byte rows:
+every row is a join-endomorphism of the lattice below the identity, the
+labels are a linear extension, so commutativity picks a row's candidates by
+the slice of its column over the rows placed before it, associativity is
+checked as composition of rows, and forward checking drops a partial table
+as soon as a later row has no candidate left.  Each flat table is keyed
+over those permutations.  A naive table-pair sweep serves as an independent
+oracle at small orders.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 import math
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -170,47 +174,52 @@ def _join_endomorphisms(add):
 
     The maps grow together, one element at a time, in a linear extension of
     the lattice (by down-set size; the labels need not be one).  A
-    join-irreducible y with lower cover c takes any v <= y above f(c).  A
-    join-reducible y is forced to the join of f over its lower covers, which
-    must equal f(a) + f(b) for every minimal incomparable pair with
+    join-irreducible y with lower cover c takes any v <= y above f(c) <= c.
+    A join-reducible y is forced to the join of f over its lower covers,
+    which must equal f(a) + f(b) for every minimal incomparable pair with
     a + b = y; a pair (a, b) is minimal when no lower cover of a or of b
     still joins with the other to y, and every other pair follows from one
-    below it by monotonicity.
+    below it by monotonicity.  The lower covers of y are the z < y whose
+    up-set meets the down-set of y in {z, y} alone.
     """
     n = len(add)
-    down = [[z for z in range(n) if add[z][y] == y] for y in range(n)]
-    order = sorted(range(1, n), key=lambda y: len(down[y]))
-    covers = [[z for z in down[y] if z != y
-               and not any(add[z][w] == w != z for w in down[y] if w != y)]
+    down, up = [0] * n, [0] * n
+    for x, row in enumerate(add):
+        for y in range(n):
+            if row[y] == y:
+                down[y] |= 1 << x
+                up[x] |= 1 << y
+    members = [[z for z in range(n) if mask >> z & 1] for mask in down]
+    covers = [[z for z in members[y]
+               if z != y and up[z] & down[y] == 1 << z | 1 << y]
               for y in range(n)]
-    steps = []
-    for y in order:
-        if len(covers[y]) == 1:
-            steps.append((y, covers[y], [[v for v in down[y] if add[u][v] == v]
-                                         for u in range(n)]))
-            continue
-        pairs = [(a, b) for a in down[y] for b in down[y]
-                 if a < b and add[a][b] == y and y not in (a, b)
-                 and all(add[a2][b] != y for a2 in covers[a])
-                 and all(add[a][b2] != y for b2 in covers[b])]
-        steps.append((y, covers[y], pairs))
     found = [[0] * n]
-    for y, lower, rest in steps:
+    for y in sorted(range(1, n), key=lambda y: len(members[y])):
+        lower = covers[y]
         if len(lower) == 1:
-            c, grown = lower[0], []
+            c = lower[0]
+            above = [None] * n
+            for u in members[c]:
+                mask = up[u] & down[y]
+                above[u] = [v for v in members[y] if mask >> v & 1]
+            grown = []
             for f in found:
-                for v in rest[f[c]]:
+                for v in above[f[c]]:
                     g = f.copy()
                     g[y] = v
                     grown.append(g)
             found = grown
             continue
+        pairs = [(a, b) for a in members[y] for b in members[y]
+                 if a < b and add[a][b] == y and y not in (a, b)
+                 and all(add[a2][b] != y for a2 in covers[a])
+                 and all(add[a][b2] != y for b2 in covers[b])]
         kept = []
         for f in found:
             v = 0
             for z in lower:
                 v = add[v][f[z]]
-            if all(add[f[a]][f[b]] == v for a, b in rest):
+            if all(add[f[a]][f[b]] == v for a, b in pairs):
                 f[y] = v
                 kept.append(f)
         found = kept
@@ -218,64 +227,110 @@ def _join_endomorphisms(add):
 
 
 def _mul_backtrack(n: int, add):
-    """Yield all multiplication tables compatible with the given join table.
+    """Yield all multiplication tables compatible with the given join table,
+    each as its n*n bytes, row-major.
 
     Distributivity and absorption make each row mul_x a join-endomorphism
     with mul_x(y) <= y and mul_x(1) = x, so the rows are picked from
-    _join_endomorphisms(add), one row at a time.  Rows go in a linear
-    extension of the lattice, so when xb < x the row of xb is assigned
-    before row x.  Row x's values at the earlier rows are fixed by commutativity, and
-    the candidates are indexed by them.  Associativity is composition:
-    mul_x . mul_b == mul_b . mul_x == mul_{xb} for every earlier b and for
-    b = x, checked with bytes.translate on rows padded to 256 bytes.
+    _join_endomorphisms(add), one row at a time in the order 1..n-2.  The
+    labels must be a linear extension of the lattice (any other join table
+    is searched relabelled by down-set size and each table mapped back), so
+    xb < x puts row xb before row x, and the values of row x at the rows
+    before it are fixed by commutativity: its key f[1:x] is the strided
+    slice of column x over rows 1..x-1 of the table placed so far.
+    Associativity is composition: mul_x . mul_b == mul_b . mul_x ==
+    mul_{xb} for every earlier b and for b = x, checked with
+    bytes.translate on rows padded to 256 bytes.  Forward checking: once
+    row x is placed, every row y >= x+2 must still have a candidate whose
+    key starts with column y over rows 1..x, found by bisect in its sorted
+    keys (row x+1 is looked up next anyway).
     """
     one = n - 1
-    down_size = [sum(add[z][y] == y for z in range(n)) for y in range(n)]
-    order = sorted(range(1, one), key=down_size.__getitem__)
-    earlier = {x: order[:k] for k, x in enumerate(order)}
+    if any(add[x][y] == y for y in range(n) for x in range(y + 1, n)):
+        yield from _mul_relabelled(n, add)
+        return
+    tab = bytearray(n * n)
+    tab[one * n:] = range(n)
+    if n == 2:
+        yield bytes(tab)
+        return
     pad = bytes(256 - n)
-    candidates = [{} for _ in range(n)]
+    buckets = [{} for _ in range(n)]
     for f in _join_endomorphisms(add):
         x = f[one]
-        if x in earlier:
-            key = bytes([f[b] for b in earlier[x]])
-            candidates[x].setdefault(key, []).append((f, f + pad))
+        if 0 < x < one:
+            buckets[x].setdefault(f[1:x], []).append((f, f + pad))
+    keys = [sorted(bucket) for bucket in buckets]
     rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
-    yield from _place_rows(0, order, earlier, candidates, rows, [None] * n)
+    maps = [None] * n
+    # stack[x - 1] iterates over the candidates left for row x
+    stack = [iter(buckets[1].get(b"", ()))]
+    while stack:
+        x = len(stack)
+        for f, fmap in stack[-1]:
+            rows[x] = f
+            if f.translate(fmap) != rows[f[x]]:
+                continue
+            for b in range(1, x):       # a loop is faster than all() here
+                if not (rows[b].translate(fmap) == rows[f[b]]
+                        == f.translate(maps[b])):
+                    break
+            else:
+                tab[x * n:x * n + n] = f
+                if x + 1 == one:
+                    yield bytes(tab)
+                elif _later_rows_open(tab, keys, n, x):
+                    maps[x] = fmap
+                    stack.append(iter(buckets[x + 1].get(
+                        bytes(tab[n + x + 1:x * n + n:n]), ())))
+                    break
+        else:
+            stack.pop()
 
 
-def _place_rows(k, order, earlier, candidates, rows, maps):
-    """_mul_backtrack's search from order[k] on: fill rows[x] and maps[x],
-    yielding each completed table."""
-    if k == len(order):
-        yield tuple(map(tuple, rows))
-        return
-    x = order[k]
-    key = bytes([rows[b][x] for b in earlier[x]])
-    for f, fmap in candidates[x].get(key, ()):
-        rows[x] = f
-        if f.translate(fmap) == rows[f[x]] and all(
-                rows[b].translate(fmap) == rows[f[b]]
-                == f.translate(maps[b]) for b in earlier[x]):
-            maps[x] = fmap
-            yield from _place_rows(k + 1, order, earlier, candidates, rows,
-                                   maps)
-    rows[x] = None
+def _later_rows_open(tab, keys, n, x):
+    """Whether every row y >= x+2 still has a candidate: a key in keys[y]
+    (sorted) starting with column y over rows 1..x of tab."""
+    end = x * n + n
+    for y in range(x + 2, n - 1):
+        prefix = tab[n + y:end:n]
+        ky = keys[y]
+        i = bisect_left(ky, prefix)
+        if i == len(ky) or not ky[i].startswith(prefix):
+            return False
+    return True
+
+
+def _mul_relabelled(n: int, add):
+    """_mul_backtrack on a join table whose labels are not a linear
+    extension: search it relabelled by down-set size, and map each table
+    back with one translate and one gather."""
+    size = [sum(row[y] == y for row in add) for y in range(n)]
+    order = tuple(sorted(range(n), key=size.__getitem__))
+    perm = tuple(sorted(range(n), key=order.__getitem__))
+    _, _, gather, pmap = _relabelling(perm)
+    flat = gather(b"".join(map(bytes, add)).translate(pmap))
+    _, _, back, bmap = _relabelling(order)
+    for tab in _mul_backtrack(n, [flat[x * n:x * n + n] for x in range(n)]):
+        yield bytes(back(tab.translate(bmap)))
 
 
 def _least_relabellings(tab, perms):
     """Least serialization of tab over perms, and the perms that reach it.
 
-    perms are _relabelling tuples.  Each costs two C calls on the flat
-    table, pick(flat.translate(pmap)); the hits are the perms tying for the
-    least pick, in the order of perms, and the key is the first hit's rows.
+    tab is a flat table (a table of rows is joined first); perms are
+    _relabelling tuples.  Each costs two C calls on the flat table,
+    pick(flat.translate(pmap)); the hits are the perms tying for the least
+    pick, in the order of perms, and the key is the first hit's rows.  A
+    single perm is its own hit, with no pick to compare.
     """
-    flat = b"".join(map(bytes, tab))
-    keys = [pick(flat.translate(pmap)) for _, pick, _, pmap in perms]
-    best = min(keys)
-    hits = [entry for entry, key in zip(perms, keys) if key == best]
-    _, _, rows, pmap = hits[0]
-    return bytes(rows(flat.translate(pmap))), hits
+    flat = tab if isinstance(tab, bytes) else b"".join(map(bytes, tab))
+    if len(perms) > 1:
+        keys = [pick(flat.translate(pmap)) for _, pick, _, pmap in perms]
+        best = min(keys)
+        perms = [entry for entry, key in zip(perms, keys) if key == best]
+    _, _, rows, pmap = perms[0]
+    return bytes(rows(flat.translate(pmap))), perms
 
 
 def _fast_census(n: int):
@@ -289,7 +344,8 @@ def _fast_census(n: int):
     No table is verified: each join table is a lattice, and _mul_backtrack
     builds every row as a join-endomorphism (identity, distributivity,
     absorption), takes it from the candidates matching the earlier rows
-    (commutativity) and checks its compositions (associativity).
+    (commutativity) and checks its compositions (associativity).  Its flat
+    tables go to the keying as they are.
     """
     perms = _fixing_perms(n)
     lattices = {}   # lattice key -> (first labelled lattice, its hits)

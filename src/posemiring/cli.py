@@ -230,10 +230,10 @@ def _ring_op(args, R):
         table, _ = ringlab.ideal_semiring(R)
         return _write_psr(table, args.json)
     if args.op == "ag":
-        _, shape, table = ringlab.annihilating_ideal_graph(R)
+        shape, table = ringlab.annihilating_ideal_graph(R)
         return _graph_output(args, table, shape)
     if args.op == "zdgraph":
-        _, shape = ringlab.ring_zdgraph(R)
+        shape = ringlab.ring_zdgraph(R)
         return _graph_output(args, R, shape)
     if args.op == "radicals":
         rad = ringlab.radicals(R)

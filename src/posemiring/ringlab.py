@@ -26,7 +26,7 @@ from .core import (
     split_top_level,
     verify_axioms,
 )
-from .graphs import GraphShape, ZdGraph, build_zdgraph, classify_shape
+from .graphs import GraphShape, build_zdgraph, classify_shape
 
 IDEAL_COUNT_CAP = 64
 ZPX_PRIME_CAP = 13
@@ -330,15 +330,15 @@ def ideal_semiring(R: FiniteRing):
     return table, ideals
 
 
-def annihilating_ideal_graph(R: FiniteRing) -> tuple[ZdGraph, GraphShape, PoSemiringTable]:
+def annihilating_ideal_graph(R: FiniteRing) -> tuple[GraphShape, PoSemiringTable]:
+    """The shape of AG(R) (its graph is shape.graph) and I(R)."""
     table, _ = ideal_semiring(R)
-    graph = build_zdgraph(table.mul)
-    return graph, classify_shape(graph), table
+    return classify_shape(build_zdgraph(table.mul)), table
 
 
-def ring_zdgraph(R: FiniteRing) -> tuple[ZdGraph, GraphShape]:
-    graph = build_zdgraph(R.mul)
-    return graph, classify_shape(graph)
+def ring_zdgraph(R: FiniteRing) -> GraphShape:
+    """The shape of the zero-divisor graph of R (its graph is shape.graph)."""
+    return classify_shape(build_zdgraph(R.mul))
 
 
 # ---------------------------------------------------------------------------

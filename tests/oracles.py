@@ -7,7 +7,9 @@ which witness or message comes first; the keys try every permutation in
 full, or build each relabelled row cell by cell; the lattices are labelled
 by every linear extension, and Burnside's lemma over their automorphisms
 counts the census without keys; the multiplication
-search fills one cell at a time; graphs are built by a scan of every
+search fills one cell at a time, and the row search's flat output is read
+as rows and pinned by a digest; the classes with every element idempotent
+are checked against the lattice meet; graphs are built by a scan of every
 cell, and their metrics and shapes enumerate vertex subsets and
 bipartitions; ring tables are filled cell by cell,
 ideal sums and products take every pair of members, and nilpotency takes
@@ -17,10 +19,11 @@ isomorphism invariants and the ideal flags test the order one pair at a
 time through A.leq.  Tests compare the package against them.
 """
 
+import hashlib
 import itertools
 import math
 
-from posemiring import harness
+from posemiring import census, harness
 from posemiring.census import _join_table, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
@@ -301,7 +304,7 @@ def burnside_counts(n):
                 if x != y and add[x][y] == y]
         seen.update(image for (perm, _), image in zip(perms, images)
                     if all(perm[x] < perm[y] for x, y in less))
-        muls = list(_mul_backtrack(n, add))
+        muls = search_tables(n, add)
         labelled += len(orbit) * len(muls)
         fixed = sum(all(g[mul[x][y]] == mul[g[x]][g[y]]
                         for x in range(n) for y in range(n))
@@ -309,6 +312,56 @@ def burnside_counts(n):
         assert fixed % len(aut) == 0
         classes += fixed // len(aut)
     return classes, labelled
+
+
+def search_tables(n, add):
+    """census._mul_backtrack's flat tables, each read as a tuple of rows."""
+    return [tuple(zip(*[iter(tab)] * n)) for tab in _mul_backtrack(n, add)]
+
+
+def search_digest(n):
+    """(tables, sha256) of the raw order-n search output: on the first
+    labelled lattice of each class that census._bounded_semilattices yields
+    (the one the census searches), every table from census._mul_backtrack
+    as its n*n add bytes and then its n*n mul bytes, the sorted list hashed
+    concatenated.  Duplicates are kept, so a table found twice, which the
+    census keys would merge, changes the digest."""
+    perms = census._fixing_perms(n)
+    first = {}
+    for add in census._bounded_semilattices(n):
+        first.setdefault(census._least_relabellings(add, perms)[0], add)
+    tables = sorted(bytes(v for row in add for v in row) + mul
+                    for add in first.values()
+                    for mul in _mul_backtrack(n, add))
+    return len(tables), hashlib.sha256(b"".join(tables)).hexdigest()
+
+
+def meet_table(add):
+    """The meet of the lattice with join table add: for each x and y, the
+    lower bound of both that lies above every other one."""
+    n = len(add)
+    leq = [[add[x][y] == y for y in range(n)] for x in range(n)]
+    meet = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            row.append(next(z for z in lower
+                            if all(leq[w][z] for w in lower)))
+        meet.append(tuple(row))
+    return tuple(meet)
+
+
+def heyting_count(n):
+    """The number of order-n census classes with every element idempotent,
+    each checked to multiply by the meet of its lattice: the finite Heyting
+    algebras of order n (OEIS A006982)."""
+    count = 0
+    for A in census.enumerate_posemirings(n).instances:
+        if all(A.mul[x][x] == x for x in range(n)):
+            assert A.mul == meet_table(A.add), A
+            count += 1
+    return count
 
 
 def mul_backtrack(n, add):

@@ -64,7 +64,7 @@ class TestCriterion3TheoremHarness:
 class TestCriterion4GraphFixtures:
     def test_ring_z2_x_z4(self):
         R = ringlab.ring_product(ringlab.ring_zn(2), ringlab.ring_zn(4))
-        _, shape = ringlab.ring_zdgraph(R)
+        shape = ringlab.ring_zdgraph(R)
         assert (shape.tag, shape.params) == ("two-star", (1, 2))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -91,16 +91,16 @@ class TestCriterion4GraphFixtures:
 class TestCriterion5RingFixtures:
     def test_complete_two_trio(self):
         for n in (6, 8, 27):
-            _, shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(n))
+            shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(n))
             assert (shape.tag, shape.params) == ("complete", (2,))
 
     def test_z12_two_star(self):
-        _, shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(12))
+        shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(12))
         assert (shape.tag, shape.params) == ("two-star", (1, 1))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_prime_fields_empty(self, p):
-        _, shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(p))
+        shape, _ = ringlab.annihilating_ideal_graph(ringlab.ring_zn(p))
         assert shape.tag == "empty"
 
     def test_c44_equivalence_over_default_corpus(self):

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,3 +55,22 @@ def test_catalog_ids_are_the_benchmark_check_metrics():
     traced = [name[len(prefix):-len(suffix)] for name in names
               if name.startswith(prefix) and name.endswith(suffix)]
     assert sorted(traced) == sorted(check.id for check in harness.CATALOG)
+
+
+def test_traced_census_counts_every_layer():
+    # the census workload's layer metrics read these counts; a search that
+    # stopped calling the traced generators would leave them at 0
+    keys = ({key for _, _, keys in spans.CALLS for key in keys}
+            | {key for _, _, key in spans.GENERATORS})
+    lib = SimpleNamespace(**{key: importlib.import_module(f"posemiring.{key}")
+                             for key in keys})
+    tracer = spans.Tracer()
+    tracer.install(lib)
+    try:
+        for n in range(2, 7):
+            lib.census.enumerate_posemirings(n)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert (tracer.items["census.lattice"], tracer.items["census.search"],
+            tracer.items["census.enumerate"]) == (25, 179, 165)

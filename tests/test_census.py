@@ -16,7 +16,6 @@ from posemiring.census import (
     _join_table,
     _least_relabellings,
     _linear_posets,
-    _mul_backtrack,
     automorphism_count,
     canonical_form,
     enumerate_posemirings,
@@ -63,6 +62,13 @@ class TestCounts:
             assert got == (result.count_up_to_iso, result.count_labeled)
             assert got[0] == {2: 1, 3: 2, 4: 7, 5: 26, 6: 129, 7: 723,
                               8: 4712}[n]
+
+    def test_heyting_algebra_count(self):
+        # an idempotent integral multiplication is the meet, so the classes
+        # with every element idempotent are the finite Heyting algebras:
+        # OEIS A006982 (heyting_count checks each mul against the meet)
+        assert [oracles.heyting_count(n) for n in range(2, 9)] == [
+            1, 1, 2, 3, 5, 8, 15]
 
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
@@ -181,7 +187,7 @@ class TestMulSearch:
                     A = make_table(n, _generic_names(n), add, mul)
                     if verify_axioms(A).valid:
                         want.add(A.mul)
-                got = list(_mul_backtrack(n, add))
+                got = oracles.search_tables(n, add)
                 assert len(got) == len(set(got))
                 assert set(got) == want
 
@@ -193,7 +199,7 @@ class TestMulSearch:
                                      for add in _bounded_semilattices(n))
             for key in lattices:
                 add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
-                got = list(_mul_backtrack(n, add))
+                got = oracles.search_tables(n, add)
                 assert len(got) == len(set(got))
                 assert set(got) == set(oracles.mul_backtrack(n, add))
 
@@ -206,7 +212,7 @@ class TestMulSearch:
             tables = 0
             for key in lattices:
                 add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
-                for mul in _mul_backtrack(n, add):
+                for mul in oracles.search_tables(n, add):
                     A = make_table(n, _generic_names(n), add, mul)
                     assert oracles.verify_axioms(A).valid
                     tables += 1
@@ -214,6 +220,14 @@ class TestMulSearch:
             assert (len(lattices), tables) == {
                 2: (1, 1), 3: (1, 2), 4: (2, 7), 5: (5, 27), 6: (15, 142),
                 7: (53, 839)}[n]
+
+
+    def test_raw_output_pinned(self):
+        # every table the search yields on the lattices the census searches,
+        # duplicates kept
+        assert oracles.search_digest(8) == (
+            5803,
+            "e9673bc43e39f6bcb231a6990340c010c7238bd8228b37b5ff37b631cfbb5c82")
 
 
 class TestCanonicalForm:
@@ -276,7 +290,7 @@ class TestRelabellingKernel:
                 keyed = [list(key[x * n:(x + 1) * n]) for x in range(n)]
                 aut = _least_relabellings(keyed, perms)[1]
                 for lattice, coset in ((keyed, aut), (add, hits)):
-                    for mul in _mul_backtrack(n, lattice):
+                    for mul in oracles.search_tables(n, lattice):
                         self.agree(mul, coset)
 
 

@@ -196,26 +196,26 @@ class TestGraphs:
     ])
     def test_annihilating_ideal_graph_shapes(self, spec, expected):
         R = ringlab.make_ring(spec)
-        _, shape, _ = ringlab.annihilating_ideal_graph(R)
+        shape, _ = ringlab.annihilating_ideal_graph(R)
         assert (shape.tag, shape.params) == expected
 
     def test_zero_divisor_graph_z2xz4(self):
         R = ringlab.make_ring("prod(zn:2,zn:4)")
-        _, shape = ringlab.ring_zdgraph(R)
+        shape = ringlab.ring_zdgraph(R)
         assert (shape.tag, shape.params) == ("two-star", (1, 2))
 
     def test_zero_divisor_graph_z2x_z2x_mod_xsq(self):
         # Z_2 x Z_2[x]/(x^2) has the same graph as Z_2 x Z_4
         R = ringlab.make_ring("prod(zn:2,zpx:2:0:0)")
-        _, shape = ringlab.ring_zdgraph(R)
+        shape = ringlab.ring_zdgraph(R)
         assert (shape.tag, shape.params) == ("two-star", (1, 2))
 
     def test_zero_divisor_graph_z2_mod_xsq_alone(self):
-        _, shape = ringlab.ring_zdgraph(ringlab.make_ring("zpx:2:0:0"))
+        shape = ringlab.ring_zdgraph(ringlab.make_ring("zpx:2:0:0"))
         assert shape.tag == "single-vertex"
 
     def test_zero_divisor_graph_z9(self):
-        _, shape = ringlab.ring_zdgraph(ringlab.ring_zn(9))
+        shape = ringlab.ring_zdgraph(ringlab.ring_zn(9))
         assert (shape.tag, shape.params) == ("complete", (2,))
 
 
@@ -257,7 +257,7 @@ class TestElementAnalysisOnIdealSemiring:
         ana = analyze_elements(table)
         assert ana.nilpotency == {six: 2}
         # (6) is the annihilator-graph center: adjacent to everything nontrivial
-        graph, shape, _ = ringlab.annihilating_ideal_graph(R)
+        shape, _ = ringlab.annihilating_ideal_graph(R)
         assert shape.tag == "two-star"
 
 
