@@ -28,7 +28,9 @@ from .core import (
     DomainError,
     PoSemiringTable,
     associative_witness,
+    lower_covers,
     make_table,
+    order_index,
     verify_axioms,
 )
 
@@ -179,20 +181,12 @@ def _join_endomorphisms(add):
     which must equal f(a) + f(b) for every minimal incomparable pair with
     a + b = y; a pair (a, b) is minimal when no lower cover of a or of b
     still joins with the other to y, and every other pair follows from one
-    below it by monotonicity.  The lower covers of y are the z < y whose
-    up-set meets the down-set of y in {z, y} alone.
+    below it by monotonicity.
     """
     n = len(add)
-    down, up = [0] * n, [0] * n
-    for x, row in enumerate(add):
-        for y in range(n):
-            if row[y] == y:
-                down[y] |= 1 << x
-                up[x] |= 1 << y
+    up, down = order_index(add)
     members = [[z for z in range(n) if mask >> z & 1] for mask in down]
-    covers = [[z for z in members[y]
-               if z != y and up[z] & down[y] == 1 << z | 1 << y]
-              for y in range(n)]
+    covers = lower_covers(up, down)
     found = [[0] * n]
     for y in sorted(range(1, n), key=lambda y: len(members[y])):
         lower = covers[y]

@@ -44,9 +44,16 @@ def _read_psr(path: str):
 
 
 def _load_instance(arg: str):
-    """A positional instance argument: a psr file path or a construction spec."""
+    """A positional instance argument: a psr file path or a construction
+    spec, rejected unless it satisfies the axioms (specs are verified when
+    they are built)."""
     if os.path.exists(arg):
-        return _read_psr(arg)
+        A = _read_psr(arg)
+        violations = verify_axioms(A).violations
+        if violations:
+            axiom, witness = violations[0]
+            raise CliError(f"{arg}: not a po-semiring: {axiom} at {witness}")
+        return A
     try:
         return cons.construct_from_text(arg)
     except (StructureError, DomainError) as exc:
@@ -71,7 +78,8 @@ def _names(A, xs):
 
 
 def cmd_verify(args):
-    A = _load_instance(args.input)
+    path = args.input       # an invalid file is reported on, not rejected
+    A = _read_psr(path) if os.path.exists(path) else _load_instance(path)
     report = verify_axioms(A)
     payload = {"valid": report.valid,
                "violations": [{"axiom": ax, "witness": list(w)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, eq, itemgetter, or_
 
 
 #: largest table order: psr files, constructions, I(R), sub-instances and
@@ -323,12 +323,13 @@ def is_idempotent(A: PoSemiringTable, x: int) -> bool:
     return A.mul[x][x] == x
 
 
-def order_index(A: PoSemiringTable) -> tuple[list[int], list[int]]:
+def order_index(add) -> tuple[list[int], list[int]]:
     """(up, down): the bit masks of {y : x <= y} and {y : y <= x} for every
-    x, from one pass over the add rows (x <= y iff add[x][y] == y)."""
-    n = A.order
+    x, from one pass over the rows of a join table (x <= y iff
+    add[x][y] == y)."""
+    n = len(add)
     up, down = [0] * n, [0] * n
-    for x, row in enumerate(A.add):
+    for x, row in enumerate(add):
         bit, mask = 1 << x, 0
         for y, s in enumerate(row):
             if s == y:
@@ -338,22 +339,17 @@ def order_index(A: PoSemiringTable) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _upper_mask(A: PoSemiringTable, u: int) -> int:
-    """up[u] of order_index(A), from the row of u alone."""
-    mask = 0
-    for y, s in enumerate(A.add[u]):
-        if s == y:
-            mask |= 1 << y
-    return mask
-
-
-def _lower_mask(A: PoSemiringTable, u: int) -> int:
-    """down[u] of order_index(A), from the column of u alone."""
-    mask = 0
-    for x, row in enumerate(A.add):
-        if row[u] == u:
-            mask |= 1 << x
-    return mask
+def lower_covers(up: list[int], down: list[int]) -> list[list[int]]:
+    """The lower covers of every x, ascending, from order_index's masks: the
+    greatest y < x when there is one, else the maximal y < x."""
+    greatest = {mask: y for y, mask in enumerate(down)}
+    covers = []
+    for x, mask in enumerate(down):
+        strict = mask ^ 1 << x
+        covers.append([greatest[strict]] if strict in greatest else
+                      [y for y in range(strict.bit_length()) if strict >> y & 1
+                       and up[y] & strict == 1 << y])
+    return covers
 
 
 def _not_prime(A: PoSemiringTable, up: list[int]) -> int:
@@ -373,15 +369,17 @@ def is_prime_element(A: PoSemiringTable, p: int) -> bool:
     """p != 1 and xy <= p implies x <= p or y <= p."""
     if p == A.one:
         return False
-    return not _not_prime(A, order_index(A)[0]) >> p & 1
+    return not _not_prime(A, order_index(A.add)[0]) >> p & 1
 
 
 def is_minimal_element(A: PoSemiringTable, x: int) -> bool:
-    return x != 0 and not _lower_mask(A, x) & ~(1 | 1 << x)
+    """x != 0 and only 0 and x lie below x: add[y][x] == x for two y."""
+    return x != 0 and list(map(itemgetter(x), A.add)).count(x) == 2
 
 
 def is_maximal_element(A: PoSemiringTable, m: int) -> bool:
-    return m != A.one and not _upper_mask(A, m) & ~(1 << m | 1 << A.one)
+    """m != 1 and only m and 1 lie above m: add[m][y] == y for two y."""
+    return m != A.one and sum(map(eq, A.add[m], range(A.order))) == 2
 
 
 def zero_divisors(A: PoSemiringTable) -> frozenset[int]:
@@ -412,7 +410,7 @@ def analyze_elements(A: PoSemiringTable) -> ElementAnalysis:
     mul[x][1:].  The down masks are kept as the analysis's ``down``.
     """
     n, one, mul = A.order, A.one, A.mul
-    up, down = order_index(A)
+    up, down = order_index(A.add)
     nilp = {}
     for x in range(1, n):
         k = nilpotency_index(A, x)
@@ -481,7 +479,7 @@ def is_prime_ideal(A: PoSemiringTable, members: frozenset[int]) -> bool:
 
 def _flag_ideal(A: PoSemiringTable, members: frozenset[int],
                 down: list[int]) -> IdealSubset:
-    """Flag an ideal; down is order_index(A)'s down-set masks."""
+    """Flag an ideal; down is order_index(A.add)[1]."""
     mask = sum(1 << x for x in members)
     hereditary = not any(down[u] & ~mask for u in members)
     prime = is_prime_ideal(A, members)
@@ -493,11 +491,11 @@ def _flag_ideal(A: PoSemiringTable, members: frozenset[int],
 
 
 def annihilator(A: PoSemiringTable, u: int) -> IdealSubset:
-    return _flag_ideal(A, _annihilator_members(A, u), order_index(A)[1])
+    return _flag_ideal(A, _annihilator_members(A, u), order_index(A.add)[1])
 
 
 def lower_ideal(A: PoSemiringTable, u: int) -> IdealSubset:
-    return _flag_ideal(A, _lower_members(A, u), order_index(A)[1])
+    return _flag_ideal(A, _lower_members(A, u), order_index(A.add)[1])
 
 
 def ideal_closure(A: PoSemiringTable, seed) -> frozenset[int]:
@@ -534,7 +532,7 @@ def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
     """All ideals: principal ideals closed under pairwise ideal sum."""
     seeds = [ideal_closure(A, {x}) for x in A.elements()]
     family = join_closure(seeds, lambda I, J: ideal_closure(A, I | J))
-    down = order_index(A)[1]
+    down = order_index(A.add)[1]
     return [_flag_ideal(A, m, down) for m in family]
 
 
@@ -609,87 +607,71 @@ def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
 # Isomorphism
 
 
-def _invariant_vectors(A: PoSemiringTable) -> list:
-    """Per element: idempotency, nilpotency index (0 when none), and the
-    sizes of its up-set, down-set and annihilator.  An isomorphism keeps
-    each of them, so they only prune the search."""
-    up, down = order_index(A)
-    return [(
-        A.mul[x][x] == x,
-        x and nilpotency_index(A, x) or 0,
-        up[x].bit_count(),
-        down[x].bit_count(),
-        col.count(0),
-    ) for x, col in enumerate(zip(*A.mul))]
+def _iso_invariants(A: PoSemiringTable):
+    """(up, down, inv): order_index(A.add), and per element x the sizes of
+    its up-set and down-set, whether x x = x and the zeros in row x of mul,
+    which an isomorphism keeps."""
+    up, down = order_index(A.add)
+    return up, down, [(u.bit_count(), d.bit_count(), row[x] == x, row.count(0))
+                      for x, (u, d, row) in enumerate(zip(up, down, A.mul))]
 
 
-def _transports(A: PoSemiringTable, B: PoSemiringTable, perm) -> bool:
-    for x in A.elements():
-        for y in A.elements():
-            if perm[A.add[x][y]] != B.add[perm[x]][perm[y]]:
-                return False
-            if perm[A.mul[x][y]] != B.mul[perm[x]][perm[y]]:
-                return False
-    return True
+def _irreducible_images(d, phi, used, irr, cands, below, down_b):
+    """Yield phi once per way of giving irr[d], irr[d+1], ... distinct
+    images in B from their cands, outside the mask used, such that
+    y <= irr[e] in A exactly when phi[y] <= phi[irr[e]] in B for every y
+    mapped before; below[e] lists the y in irr[:e] with y <= irr[e]."""
+    if d == len(irr):
+        yield phi
+        return
+    want = sum(1 << phi[y] for y in below[d])
+    for b in cands[d]:
+        if not used >> b & 1 and down_b[b] & used == want:
+            phi[irr[d]] = b
+            yield from _irreducible_images(d + 1, phi, used | 1 << b, irr,
+                                           cands, below, down_b)
 
 
 def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
-    """A bijection of indices fixing 0 and 1 that transports both tables.
+    """A bijection of indices fixing 0 and 1 that carries both tables of the
+    valid instance A onto those of the valid B, or None when there is none.
 
-    Backtracking over assignments with invariant-vector pruning; the first
-    bijection found is the lexicographically least one.  None when the
-    instances are not isomorphic.
+    The images of the join-irreducibles are searched, and each choice is
+    extended to the other elements as joins of two lower covers.  A
+    bijection phi carries both tables when row x of A equals row phi(x) of
+    B renamed by phi^-1 and gathered at phi.  The first one found is
+    returned.
     """
     if A.order != B.order:
         return None
-    n = A.order
-    inv_a = _invariant_vectors(A)
-    inv_b = _invariant_vectors(B)
+    up_a, down_a, inv_a = _iso_invariants(A)
+    down_b, inv_b = _iso_invariants(B)[1:]
     if sorted(inv_a) != sorted(inv_b):
         return None
-
-    perm = [None] * n
-    perm[0], perm[n - 1] = 0, n - 1
-    if _extend(A, B, inv_a, inv_b, perm, {0, n - 1}, 1):
-        return tuple(perm)
+    n, covers = A.order, lower_covers(up_a, down_a)
+    order = sorted(range(1, n), key=lambda x: down_a[x].bit_count())
+    irr = [x for x in order if len(covers[x]) == 1]
+    joins = [(x, *covers[x][:2]) for x in order if len(covers[x]) > 1]
+    masks_b = set(down_b)
+    irr_b = [b for b in range(1, n) if down_b[b] ^ 1 << b in masks_b]
+    if len(irr) != len(irr_b):
+        return None
+    cands = [[b for b in irr_b if inv_b[b] == inv_a[x]] for x in irr]
+    below = [[y for y in irr[:d] if down_a[x] >> y & 1]
+             for d, x in enumerate(irr)]
+    rows_b = [bytes(add) + bytes(mul) for add, mul in zip(B.add, B.mul)]
+    pad = bytes(256 - n)
+    for phi in _irreducible_images(0, [0] * n, 0, irr, cands, below, down_b):
+        for x, c1, c2 in joins:
+            phi[x] = B.add[phi[c1]][phi[c2]]
+        if len(set(phi)) < n:
+            continue
+        back = bytes(sorted(range(n), key=phi.__getitem__)) + pad
+        gather = itemgetter(*phi, *[p + n for p in phi])
+        if all(gather(rows_b[p].translate(back)) == add + mul
+               for p, add, mul in zip(phi, A.add, A.mul)):
+            return tuple(phi)
     return None
-
-
-def _consistent(A, B, perm, used, i) -> bool:
-    """No assigned pair (i, x) or (x, i) contradicts perm being a bijection
-    that transports both tables."""
-    for x in range(A.order):
-        if perm[x] is None:
-            continue
-        for (s, t) in ((i, x), (x, i)):
-            for op_a, op_b in ((A.add, B.add), (A.mul, B.mul)):
-                img = op_b[perm[s]][perm[t]]
-                val = op_a[s][t]
-                if perm[val] is not None:
-                    if perm[val] != img:
-                        return False
-                elif img in used:
-                    return False
-    return True
-
-
-def _extend(A, B, inv_a, inv_b, perm, used, i) -> bool:
-    """Assign perm[i], perm[i + 1], ... up to n - 2 by backtracking over
-    images with the same invariant vector; True once perm transports."""
-    n = A.order
-    if i == n - 1:
-        return _transports(A, B, perm)
-    for j in range(1, n - 1):
-        if j in used or inv_b[j] != inv_a[i]:
-            continue
-        perm[i] = j
-        used.add(j)
-        if (_consistent(A, B, perm, used, i)
-                and _extend(A, B, inv_a, inv_b, perm, used, i + 1)):
-            return True
-        perm[i] = None
-        used.discard(j)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +679,8 @@ def _extend(A, B, inv_a, inv_b, perm, used, i) -> bool:
 
 
 def to_text(A: PoSemiringTable) -> str:
-    lines = ["psr 1", f"order {A.order}", "names " + " ".join(A.names), "add"]
-    lines += [" ".join(str(v) for v in row) for row in A.add]
-    lines.append("mul")
-    lines += [" ".join(str(v) for v in row) for row in A.mul]
-    return "\n".join(lines) + "\n"
+    return write_table_text("psr 1", {"order": A.order}, A.names, A.add,
+                            A.mul)
 
 
 def parse_psr(text: str) -> PoSemiringTable:
@@ -758,6 +737,17 @@ def read_table_text(text: str, magic: str, keys, max_order: int) -> tuple:
     if extra is not None:
         raise StructureError(f"trailing garbage: {extra!r}")
     return values, names[1:], tables[0], tables[1]
+
+
+def write_table_text(magic: str, values: dict, names, add, mul) -> str:
+    """The layout read_table_text reads: the magic line, one `key <int>`
+    line per entry of values, the names line, then the add and mul rows."""
+    lines = [magic, *(f"{key} {v}" for key, v in values.items()),
+             "names " + " ".join(names), "add"]
+    lines += [" ".join(map(str, row)) for row in add]
+    lines.append("mul")
+    lines += [" ".join(map(str, row)) for row in mul]
+    return "\n".join(lines) + "\n"
 
 
 def split_top_level(inner: str) -> list[str]:

@@ -750,25 +750,29 @@ def census_corpus(max_n: int) -> Corpus:
     return corpus
 
 
-def construction_grid(max_k: int = 3) -> Corpus:
+#: largest parameter k of the chain, example and adjoin families in the grid
+GRID_MAX_K = 3
+
+
+def construction_grid() -> Corpus:
     corpus = Corpus()
 
     def put(name, A):
         corpus.posemirings.append((name, A))
 
     put("trivial", cons.trivial())
-    for k in range(1, max_k + 1):
+    for k in range(1, GRID_MAX_K + 1):
         put(f"chain-k{k}", cons.chain_lattice(k))
         put(f"ex2.6-k{k}", cons.example_2_6(k))
         put(f"ex3.2-k{k}", cons.example_3_2(k))
         for u2 in ("zero", "c", "u"):
             put(f"ex4.6-k{k}-{u2}", cons.example_4_6(k, u2))
-    for k in range(2, max_k + 1):
+    for k in range(2, GRID_MAX_K + 1):
         for pos in range(2, k + 1):
             put(f"ex4.7-k{k}-n{pos}", cons.example_4_7(k, pos))
     for n in range(1, 4):
         put(f"bool-{n}", cons.boolean_power(n))
-    for k in range(1, max_k + 1):
+    for k in range(1, GRID_MAX_K + 1):
         put(f"adjz1-chain{k}", cons.adjoin_z1(cons.chain_lattice(k)))
         put(f"adjz2i-chain{k}",
             cons.adjoin_z2_incomparable(cons.chain_lattice(k)))

@@ -25,6 +25,7 @@ from .core import (
     row_witness,
     split_top_level,
     verify_axioms,
+    write_table_text,
 )
 from .graphs import GraphShape, build_zdgraph, classify_shape
 
@@ -184,12 +185,8 @@ def parse_ring_file(text: str) -> FiniteRing:
 
 
 def ring_to_text(R: FiniteRing) -> str:
-    lines = ["ring 1", f"order {R.order}", f"one {R.one}",
-             "names " + " ".join(R.names), "add"]
-    lines += [" ".join(str(v) for v in row) for row in R.add]
-    lines.append("mul")
-    lines += [" ".join(str(v) for v in row) for row in R.mul]
-    return "\n".join(lines) + "\n"
+    return write_table_text("ring 1", {"order": R.order, "one": R.one},
+                            R.names, R.add, R.mul)
 
 
 def make_ring(spec: str, read_file=None) -> FiniteRing:

@@ -738,16 +738,6 @@ def analyze_elements(A):
     )
 
 
-def invariant_vectors(A):
-    """core._invariant_vectors with each up-set, down-set and annihilator
-    collected as a set by A.leq and mul scans, and nilpotency over every
-    power."""
-    return [(is_idempotent(A, x), x and nilpotency_index(A, x) or 0,
-             sum(A.leq(x, y) for y in A.elements()),
-             len(lower_members(A, x)), len(annihilator_members(A, x)))
-            for x in A.elements()]
-
-
 def flag_ideal(A, members):
     """core._flag_ideal comparing members with every down-set and
     annihilator collected as a set."""

@@ -342,6 +342,35 @@ class TestTheorems:
         assert err.startswith(f"error: {tmp_path / 'b_bad.psr'}: ")
 
 
+class TestInvalidFiles:
+    """A psr file that fails the axioms is rejected before any computation
+    that assumes them; verify still reports on it."""
+
+    # 0 < a, b < 1 with ab = a: b(a + b) = b but ba + bb = 1
+    BAD = ("psr 1\norder 4\nnames 0 a b 1\nadd\n"
+           "0 1 2 3\n1 1 3 3\n2 3 2 3\n3 3 3 3\n"
+           "mul\n0 0 0 0\n0 1 1 1\n0 1 2 2\n0 1 2 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "{bad}"), ("graph", "{bad}"),
+        ("iso", "{bad}", "bool:n=2"), ("iso", "bool:n=2", "{bad}"),
+        ("product", "trivial", "{bad}")])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.psr"
+        bad.write_text(self.BAD)
+        code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 2 and out == ""
+        assert err == (f"error: {bad}: not a po-semiring: "
+                       "distributive at (2, 1, 2)\n")
+
+    def test_verify_reports(self, tmp_path, capsys):
+        bad = tmp_path / "bad.psr"
+        bad.write_text(self.BAD)
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert out == "invalid\n  distributive at (2, 1, 2)\n"
+
+
 class TestUserPathErrors:
     """An unusable path exits 2 with one line naming it, not a traceback."""
 
