@@ -227,11 +227,11 @@ def _mul_backtrack(n: int, add):
     Distributivity and absorption make each row mul_x a join-endomorphism
     with mul_x(y) <= y and mul_x(1) = x, so the rows are picked from
     _join_endomorphisms(add), one row at a time in the order 1..n-2.  The
-    labels must be a linear extension of the lattice (any other join table
-    is searched relabelled by down-set size and each table mapped back), so
-    xb < x puts row xb before row x, and the values of row x at the rows
-    before it are fixed by commutativity: its key f[1:x] is the strided
-    slice of column x over rows 1..x-1 of the table placed so far.
+    labels must be a linear extension of the lattice, as every join table
+    from _bounded_semilattices is (DomainError otherwise), so xb < x puts
+    row xb before row x, and the values of row x at the rows before it are
+    fixed by commutativity: its key f[1:x] is the strided slice of column
+    x over rows 1..x-1 of the table placed so far.
     Associativity is composition: mul_x . mul_b == mul_b . mul_x ==
     mul_{xb} for every earlier b and for b = x, checked with
     bytes.translate on rows padded to 256 bytes.  Forward checking: once
@@ -241,8 +241,7 @@ def _mul_backtrack(n: int, add):
     """
     one = n - 1
     if any(add[x][y] == y for y in range(n) for x in range(y + 1, n)):
-        yield from _mul_relabelled(n, add)
-        return
+        raise DomainError("join table labels are not a linear extension")
     tab = bytearray(n * n)
     tab[one * n:] = range(n)
     if n == 2:
@@ -293,20 +292,6 @@ def _later_rows_open(tab, keys, n, x):
         if i == len(ky) or not ky[i].startswith(prefix):
             return False
     return True
-
-
-def _mul_relabelled(n: int, add):
-    """_mul_backtrack on a join table whose labels are not a linear
-    extension: search it relabelled by down-set size, and map each table
-    back with one translate and one gather."""
-    size = [sum(row[y] == y for row in add) for y in range(n)]
-    order = tuple(sorted(range(n), key=size.__getitem__))
-    perm = tuple(sorted(range(n), key=order.__getitem__))
-    _, _, gather, pmap = _relabelling(perm)
-    flat = gather(b"".join(map(bytes, add)).translate(pmap))
-    _, _, back, bmap = _relabelling(order)
-    for tab in _mul_backtrack(n, [flat[x * n:x * n + n] for x in range(n)]):
-        yield bytes(back(tab.translate(bmap)))
 
 
 def _least_relabellings(tab, perms):

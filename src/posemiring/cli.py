@@ -43,17 +43,22 @@ def _read_psr(path: str):
             raise CliError(f"{path}: {exc}") from exc
 
 
+def _read_valid_psr(path: str):
+    """A psr file, rejected unless it satisfies the axioms."""
+    A = _read_psr(path)
+    violations = verify_axioms(A).violations
+    if violations:
+        axiom, witness = violations[0]
+        raise CliError(f"{path}: not a po-semiring: {axiom} at {witness}")
+    return A
+
+
 def _load_instance(arg: str):
     """A positional instance argument: a psr file path or a construction
     spec, rejected unless it satisfies the axioms (specs are verified when
     they are built)."""
     if os.path.exists(arg):
-        A = _read_psr(arg)
-        violations = verify_axioms(A).violations
-        if violations:
-            axiom, witness = violations[0]
-            raise CliError(f"{arg}: not a po-semiring: {axiom} at {witness}")
-        return A
+        return _read_valid_psr(arg)
     try:
         return cons.construct_from_text(arg)
     except (StructureError, DomainError) as exc:
@@ -278,7 +283,7 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
         for entry in sorted(os.listdir(directory)):
             if entry.endswith(".psr"):
                 corpus.posemirings.append(
-                    (entry, _read_psr(os.path.join(directory, entry))))
+                    (entry, _read_valid_psr(os.path.join(directory, entry))))
         if not corpus.posemirings:
             raise CliError(f"{directory}: no .psr files found")
         return corpus

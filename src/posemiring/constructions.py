@@ -24,6 +24,7 @@ from .core import (
     is_minimal_element,
     make_table,
     orthogonal_complement,
+    product_rows,
     split_top_level,
     verify_axioms,
     zero_divisors,
@@ -41,17 +42,26 @@ class ConstructionSpec:
     children: tuple["ConstructionSpec", ...] = ()
 
 
-def _table_from_ops(names, addf, mulf) -> PoSemiringTable:
-    n = len(names)
+def _capped(n: int) -> int:
+    """n, once it is known to be a table order within ORDER_CAP; checked
+    before any cell is computed."""
     if n > ORDER_CAP:
         raise DomainError(f"order {n} exceeds cap {ORDER_CAP}")
-    add = [[addf(x, y) for y in range(n)] for x in range(n)]
-    mul = [[mulf(x, y) for y in range(n)] for x in range(n)]
-    A = make_table(n, names, add, mul)
+    return n
+
+
+def _verified(names, add, mul) -> PoSemiringTable:
+    A = make_table(len(names), names, add, mul)
     report = verify_axioms(A)
     if not report.valid:
         raise StructureError(f"constructed table fails axioms: {report.violations[0]}")
     return A
+
+
+def _table_from_ops(names, addf, mulf) -> PoSemiringTable:
+    n = _capped(len(names))
+    return _verified(names, [[addf(x, y) for y in range(n)] for x in range(n)],
+                     [[mulf(x, y) for y in range(n)] for x in range(n)])
 
 
 def trivial() -> PoSemiringTable:
@@ -160,17 +170,11 @@ def example_4_7(k: int, pos: int) -> PoSemiringTable:
 
 
 def direct_product(A: PoSemiringTable, B: PoSemiringTable) -> PoSemiringTable:
-    nb = B.order
+    """A x B with (a, b) at index a*|B| + b."""
+    _capped(A.order * B.order)
     names = tuple(f"{a}×{b}" for a in A.names for b in B.names)
-
-    def op(tab_a, tab_b):
-        def f(x, y):
-            xa, xb = divmod(x, nb)
-            ya, yb = divmod(y, nb)
-            return tab_a[xa][ya] * nb + tab_b[xb][yb]
-        return f
-
-    return _table_from_ops(names, op(A.add, B.add), op(A.mul, B.mul))
+    return _verified(names, product_rows(A.add, B.add),
+                     product_rows(A.mul, B.mul))
 
 
 def boolean_power(n: int) -> PoSemiringTable:
@@ -193,30 +197,35 @@ def _require_integral(A1: PoSemiringTable):
         raise DomainError("base instance is not integral")
 
 
+def _adjoin(A1: PoSemiringTable, low_names, low_add, low_mul) -> PoSemiringTable:
+    """A1 with s = len(low_names) new elements 1..s between its zero and its
+    nonzero elements, which move up by s.
+
+    low_add and low_mul are the s x s tables among the new elements, with
+    values in the new indices.  A new l lies below every old nonzero y, so
+    l + y = y, and l y = l; on the integral A1 the old products stay
+    nonzero, so A1's rows embed shifted.
+    """
+    s = len(low_names)
+    n = _capped(A1.order + s)
+    low, old = range(1, s + 1), range(s + 1, n)
+
+    def shifted(row):           # row at A1's nonzero columns, moved up by s
+        return [v + s for v in row[1:]]
+
+    add = ([range(n)]
+           + [[l, *low_add[l - 1], *old] for l in low]
+           + [[x] * (s + 1) + shifted(A1.add[x - s]) for x in old])
+    mul = ([[0] * n]
+           + [[0, *low_mul[l - 1], *[l] * len(old)] for l in low]
+           + [[0, *low, *shifted(A1.mul[x - s])] for x in old])
+    return _verified((A1.names[0], *low_names, *A1.names[1:]), add, mul)
+
+
 def adjoin_z1(A1: PoSemiringTable) -> PoSemiringTable:
     """Insert a nilpotent c directly above 0; the result has Z = {c}."""
     _require_integral(A1)
-    n1 = A1.order
-    names = (A1.names[0], "z·c") + A1.names[1:]
-    c = 1
-
-    def addf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0:
-            return y
-        if x == c:
-            return y
-        return A1.add[x - 1][y - 1] + 1
-
-    def mulf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0:
-            return 0
-        if x == c:
-            return 0 if y == c else c
-        return A1.mul[x - 1][y - 1] + 1
-
-    return _table_from_ops(names, addf, mulf)
+    return _adjoin(A1, ("z·c",), low_add=[[1]], low_mul=[[0]])
 
 
 def _least_nonzero(A1: PoSemiringTable) -> int | None:
@@ -232,35 +241,8 @@ def adjoin_z2_incomparable(A1: PoSemiringTable) -> PoSemiringTable:
     a0 = _least_nonzero(A1)
     if a0 is None:
         raise DomainError("base instance has no least nonzero element")
-    names = (A1.names[0], "z·c", "z·u") + A1.names[1:]
-    c, u = 1, 2
-    new_a0 = a0 + 2
-
-    def addf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0:
-            return y
-        if x in (c, u):
-            if y == x:
-                return x
-            if y in (c, u):
-                return new_a0
-            return y
-        return A1.add[x - 2][y - 2] + 2
-
-    def mulf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0:
-            return 0
-        if x in (c, u):
-            if y == x:
-                return x
-            if y in (c, u):
-                return 0
-            return x
-        return A1.mul[x - 2][y - 2] + 2
-
-    return _table_from_ops(names, addf, mulf)
+    return _adjoin(A1, ("z·c", "z·u"), low_add=[[1, a0 + 2], [a0 + 2, 2]],
+                   low_mul=[[1, 0], [0, 2]])
 
 
 def adjoin_z2_chain(A1: PoSemiringTable, u_square: str) -> PoSemiringTable:
@@ -268,27 +250,9 @@ def adjoin_z2_chain(A1: PoSemiringTable, u_square: str) -> PoSemiringTable:
     _require_integral(A1)
     if u_square not in ("c", "u"):
         raise DomainError(f"u_square must be c or u, got {u_square!r}")
-    names = (A1.names[0], "z·c", "z·u") + A1.names[1:]
-    c, u = 1, 2
-    u2 = c if u_square == "c" else u
-
-    def addf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0 or x in (c, u):
-            return y
-        return A1.add[x - 2][y - 2] + 2
-
-    def mulf(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == 0:
-            return 0
-        if x == c:
-            return 0 if y in (c, u) else c
-        if x == u:
-            return u2 if y == u else u
-        return A1.mul[x - 2][y - 2] + 2
-
-    return _table_from_ops(names, addf, mulf)
+    u2 = 1 if u_square == "c" else 2
+    return _adjoin(A1, ("z·c", "z·u"), low_add=[[1, 2], [2, 2]],
+                   low_mul=[[0, 0], [0, u2]])
 
 
 # ---------------------------------------------------------------------------

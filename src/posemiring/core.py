@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import chain
 from operator import and_, eq, itemgetter, or_
 
 
@@ -113,6 +114,20 @@ def _check_matrix(rows, order, label):
             if not 0 <= v < order:
                 raise StructureError(f"{label} entry {v} out of range [0, {order})")
     return rows
+
+
+def product_rows(ta, tb) -> list[tuple[int, ...]]:
+    """The rows of the componentwise operation on pairs (a, b), at index
+    a*len(tb) + b, from the rows ta and tb of two operation tables.
+
+    Row (a, b) is, for each u in ta's row a, tb's row b shifted by
+    u*len(tb): the rows are joined from shifted copies of tb's rows.
+    """
+    nb = len(tb)
+    shifted = [[tuple(u * nb + v for v in row) for u in range(len(ta))]
+               for row in tb]
+    return [tuple(chain.from_iterable(map(sb.__getitem__, ra)))
+            for ra in ta for sb in shifted]
 
 
 # ---------------------------------------------------------------------------
@@ -498,42 +513,49 @@ def lower_ideal(A: PoSemiringTable, u: int) -> IdealSubset:
     return _flag_ideal(A, _lower_members(A, u), order_index(A.add)[1])
 
 
-def ideal_closure(A: PoSemiringTable, seed) -> frozenset[int]:
-    """Smallest ideal containing the seed set."""
-    cur = set(seed) | {0}
-    while True:
-        new = set()
-        for i in cur:
-            for j in cur:
-                new.add(A.add[i][j])
-            for a in A.elements():
-                new.add(A.mul[i][a])
-        if new <= cur:
-            return frozenset(cur)
-        cur |= new
+def principal_ideal(A, x: int) -> frozenset[int]:
+    """xA, the values of row x of mul, in a po-semiring or a ring: the least
+    ideal containing x, since xa + xb = x(a + b), x0 = 0 and x1 = x."""
+    return frozenset(A.mul[x])
 
 
-def join_closure(seeds, join) -> list[frozenset[int]]:
-    """Close a set family under a binary join; sorted by (size, members)."""
-    family = set(seeds)
+def ideal_sum(A, I, J) -> frozenset[int]:
+    """I + J as the union of the cosets i + J, one per coset.
+
+    An i already in the union is some i0 + j0, and then i + J lies in
+    i0 + J because J + J lies in J."""
+    out = set()
+    for i in I:
+        if i not in out:
+            row = A.add[i]
+            out.update(row[j] for j in J)
+    return frozenset(out)
+
+
+def ideal_family(A) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
+    """Every ideal of a po-semiring or a ring, sorted by (size, members), and
+    the least generator of each principal one: the principal ideals closed
+    under pairwise sums."""
+    generator = {}
+    for x in reversed(A.elements()):
+        generator[principal_ideal(A, x)] = x
+    family = set(generator)
     pending, done = list(family), []
     while pending:
         I = pending.pop()
         for J in done:
-            K = join(I, J)
+            K = ideal_sum(A, I, J)
             if K not in family:
                 family.add(K)
                 pending.append(K)
         done.append(I)
-    return sorted(family, key=lambda m: (len(m), sorted(m)))
+    return sorted(family, key=lambda m: (len(m), sorted(m))), generator
 
 
 def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
-    """All ideals: principal ideals closed under pairwise ideal sum."""
-    seeds = [ideal_closure(A, {x}) for x in A.elements()]
-    family = join_closure(seeds, lambda I, J: ideal_closure(A, I | J))
+    """All ideals, flagged, in ideal_family's order."""
     down = order_index(A.add)[1]
-    return [_flag_ideal(A, m, down) for m in family]
+    return [_flag_ideal(A, m, down) for m in ideal_family(A)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     is_minimal_element,
     is_prime_ideal,
     orthogonal_complement,
+    principal_ideal,
     verify_axioms,
     zero_divisors,
 )
@@ -573,7 +574,7 @@ def chk_c44(rctx):
     cond1 = two_fields or (local and nontrivial == 2)
     jac = rctx.rad.jacobson.members
     alpha_ok = any(
-        ringlab.principal_ideal(R, a) == jac
+        principal_ideal(R, a) == jac
         and _ring_power(R, a, 3) == 0 and _ring_power(R, a, 2) != 0
         for a in jac)
     cond3 = two_fields or (local and alpha_ok)

@@ -19,8 +19,9 @@ from .core import (
     associative_witness,
     commutative_witness,
     distributive_witness,
-    join_closure,
+    ideal_family,
     make_table,
+    product_rows,
     read_table_text,
     row_witness,
     split_top_level,
@@ -125,7 +126,8 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
         raise DomainError(f"zpx modulus must be a prime <= {ZPX_PRIME_CAP}")
     c1, c0 = c1 % p, c0 % p
     n = p * p
-    add = ring_product(ring_zn(p), ring_zn(p)).add
+    zp = ring_zn(p).add
+    add = product_rows(zp, zp)
 
     def multiples(v):           # 0, v, 2v, ..., (p-1)v
         out = [0]
@@ -151,25 +153,14 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
 
 
 def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
-    """R x S with (a, b) at index a*|S| + b.
-
-    Row (a, b) of an operation is, for each u in R's row a, S's row b
-    shifted by u*|S|: the rows are joined from shifted copies of S's rows.
-    """
-    ns = S.order
-    n = R.order * ns
+    """R x S with (a, b) at index a*|S| + b."""
+    n = R.order * S.order
     if n > ORDER_CAP:
         raise DomainError(f"product order {n} exceeds cap {ORDER_CAP}")
     names = [f"({a},{b})" for a in R.names for b in S.names]
-
-    def op(ta, tb):
-        shifted = [[tuple(u * ns + v for v in row) for u in range(R.order)]
-                   for row in tb]
-        return [tuple(chain.from_iterable(map(sb.__getitem__, ra)))
-                for ra in ta for sb in shifted]
-
-    return _make_ring(n, names, op(R.add, S.add), op(R.mul, S.mul),
-                      one=R.one * ns + S.one, check=False)
+    return _make_ring(n, names, product_rows(R.add, S.add),
+                      product_rows(R.mul, S.mul), one=R.one * S.order + S.one,
+                      check=False)
 
 
 def parse_ring_file(text: str) -> FiniteRing:
@@ -234,33 +225,15 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
 # Ideals
 
 
-def principal_ideal(R: FiniteRing, a: int) -> frozenset[int]:
-    """Ra, the values of a's row (multiplication is commutative)."""
-    return frozenset(R.mul[a])
-
-
-def ideal_sum(R: FiniteRing, I, J) -> frozenset[int]:
-    """I + J as the union of the cosets i + J, one per coset."""
-    out = set()
-    for i in I:
-        if i not in out:        # i + J is already in the union
-            row = R.add[i]
-            out.update(row[j] for j in J)
-    return frozenset(out)
-
-
 def enumerate_ring_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
-    """All ideals by (size, members): principal ideals closed under sums.
+    """All ideals by (size, members), from core.ideal_family.
 
     Each ideal records its least generator when it is principal.  Callers
     read the cached ``R.ideals`` instead of calling this again.
     """
     if R.order > ORDER_CAP:
         raise DomainError(f"ring order {R.order} exceeds cap {ORDER_CAP}")
-    generator = {}
-    for a in reversed(R.elements()):
-        generator[principal_ideal(R, a)] = a
-    family = join_closure(generator, lambda I, J: ideal_sum(R, I, J))
+    family, generator = ideal_family(R)
     return tuple(Ideal(members=m, generators=(generator[m],) if m in generator
                        else ()) for m in family)
 

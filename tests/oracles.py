@@ -12,7 +12,8 @@ as rows and pinned by a digest; the classes with every element idempotent
 are checked against the lattice meet; graphs are built by a scan of every
 cell, and their metrics and shapes enumerate vertex subsets and
 bipartitions; ring tables are filled cell by cell,
-ideal sums and products take every pair of members, and nilpotency takes
+ideal sums and products take every pair of members, the least ideal
+containing a set is a fixpoint of sums and products, and nilpotency takes
 every power; complements, primitive idempotents, (C1)-(C3) and primitive
 decompositions scan every pair of elements; the element analysis, the
 isomorphism invariants and the ideal flags test the order one pair at a
@@ -113,7 +114,8 @@ def quadratic_tables(p, c1, c0):
 
 
 def product_tables(r, s):
-    """ringlab.ring_product's (add, mul) from the factors' (add, mul)."""
+    """core.product_rows on the (add, mul) of two factors, cell by cell:
+    the tables of ringlab.ring_product and constructions.direct_product."""
     ns, n = len(s[0]), len(r[0]) * len(s[0])
     return tuple([[tr[x // ns][y // ns] * ns + ts[x % ns][y % ns]
                    for y in range(n)] for x in range(n)]
@@ -121,8 +123,25 @@ def product_tables(r, s):
 
 
 def principal_ideal(R, a):
-    """ringlab.principal_ideal as the column {ra : r in R}."""
+    """core.principal_ideal as the column {ra : r in R}."""
     return frozenset(R.mul[r][a] for r in R.elements())
+
+
+def ideal_closure(A, seed):
+    """The least ideal of a po-semiring or ring containing the seed set, as
+    the fixpoint of adding every sum and every product: core's
+    principal_ideal on {x} and ideal_sum on I | J."""
+    cur = set(seed) | {0}
+    while True:
+        new = set()
+        for i in cur:
+            for j in cur:
+                new.add(A.add[i][j])
+            for a in A.elements():
+                new.add(A.mul[i][a])
+        if new <= cur:
+            return frozenset(cur)
+        cur |= new
 
 
 def _ideal_sum(R, I, J):

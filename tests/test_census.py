@@ -16,6 +16,7 @@ from posemiring.census import (
     _join_table,
     _least_relabellings,
     _linear_posets,
+    _mul_backtrack,
     automorphism_count,
     canonical_form,
     enumerate_posemirings,
@@ -28,6 +29,18 @@ from posemiring.core import (
     make_table,
     verify_axioms,
 )
+
+
+def first_labelled_lattices(n):
+    """Lattice key -> (first labelled lattice of the class, the perms taking
+    it to the key), over _bounded_semilattices(n): the lattices the census
+    searches, each labelled by a linear extension."""
+    perms = _fixing_perms(n)
+    first = {}
+    for add in _bounded_semilattices(n):
+        key, hits = _least_relabellings(add, perms)
+        first.setdefault(key, (add, hits))
+    return first
 
 
 def relabel(A, perm):
@@ -194,11 +207,7 @@ class TestMulSearch:
     def test_matches_cell_search_oracle(self):
         # the same set per lattice class, with no duplicates
         for n in range(2, 8):
-            perms = _fixing_perms(n)
-            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
-                                     for add in _bounded_semilattices(n))
-            for key in lattices:
-                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+            for add, _ in first_labelled_lattices(n).values():
                 got = oracles.search_tables(n, add)
                 assert len(got) == len(set(got))
                 assert set(got) == set(oracles.mul_backtrack(n, add))
@@ -206,12 +215,9 @@ class TestMulSearch:
     def test_every_output_satisfies_the_axioms(self):
         # the census keeps every table the search yields without verifying it
         for n in range(2, 8):
-            perms = _fixing_perms(n)
-            lattices = dict.fromkeys(_least_relabellings(add, perms)[0]
-                                     for add in _bounded_semilattices(n))
+            lattices = first_labelled_lattices(n)
             tables = 0
-            for key in lattices:
-                add = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+            for add, _ in lattices.values():
                 for mul in oracles.search_tables(n, add):
                     A = make_table(n, _generic_names(n), add, mul)
                     assert oracles.verify_axioms(A).valid
@@ -220,6 +226,14 @@ class TestMulSearch:
             assert (len(lattices), tables) == {
                 2: (1, 1), 3: (1, 2), 4: (2, 7), 5: (5, 27), 6: (15, 142),
                 7: (53, 839)}[n]
+
+    def test_rejects_labels_not_a_linear_extension(self):
+        # the chain 0 < 2 < 1 < 3
+        rank = [0, 2, 1, 3]
+        add = [[max(x, y, key=rank.__getitem__) for y in range(4)]
+               for x in range(4)]
+        with pytest.raises(DomainError, match="linear extension"):
+            next(_mul_backtrack(4, add))
 
 
     def test_raw_output_pinned(self):
@@ -277,21 +291,20 @@ class TestRelabellingKernel:
                 self.agree(add, perms)
 
     def test_every_table_under_lattice_automorphisms(self):
-        # over Aut(L) on each lattice key, and as the census keys them: on
-        # the first labelled lattice of each class, over the coset of Aut(L)
-        # taking it to its key
+        # as the census keys them: on the first labelled lattice of each
+        # class, over the coset of Aut(L) taking it to its key; and each
+        # table carried to the lattice key by that coset's first perm,
+        # over Aut(L) on the key
         for n in range(2, 7):
             perms = _fixing_perms(n)
-            lattices = {}
-            for add in _bounded_semilattices(n):
-                key, hits = _least_relabellings(add, perms)
-                lattices.setdefault(key, (add, hits))
-            for key, (add, hits) in lattices.items():
+            for key, (add, hits) in first_labelled_lattices(n).items():
                 keyed = [list(key[x * n:(x + 1) * n]) for x in range(n)]
                 aut = _least_relabellings(keyed, perms)[1]
-                for lattice, coset in ((keyed, aut), (add, hits)):
-                    for mul in oracles.search_tables(n, lattice):
-                        self.agree(mul, coset)
+                for mul in oracles.search_tables(n, add):
+                    self.agree(mul, hits)
+                    moved = _least_relabellings(mul, hits[:1])[0]
+                    self.agree([moved[x * n:(x + 1) * n] for x in range(n)],
+                               aut)
 
 
 class TestKeysAgainstOracle:

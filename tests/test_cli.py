@@ -354,11 +354,13 @@ class TestInvalidFiles:
     @pytest.mark.parametrize("argv", [
         ("analyze", "{bad}"), ("graph", "{bad}"),
         ("iso", "{bad}", "bool:n=2"), ("iso", "bool:n=2", "{bad}"),
-        ("product", "trivial", "{bad}")])
+        ("product", "trivial", "{bad}"),
+        ("theorems", "--corpus", "files:{dir}")])
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
         bad = tmp_path / "bad.psr"
         bad.write_text(self.BAD)
-        code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+        code, out, err = run(capsys, *(a.format(bad=bad, dir=tmp_path)
+                                       for a in argv))
         assert code == 2 and out == ""
         assert err == (f"error: {bad}: not a po-semiring: "
                        "distributive at (2, 1, 2)\n")

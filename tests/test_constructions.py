@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
 
+import oracles
 from posemiring import constructions as cons
+from posemiring import harness
+from posemiring.census import enumerate_posemirings
 from posemiring.core import (
     ClosureError,
     DomainError,
@@ -9,6 +14,7 @@ from posemiring.core import (
     analyze_elements,
     check_conditions,
     find_isomorphism,
+    to_text,
     verify_axioms,
     zero_divisors,
 )
@@ -123,6 +129,69 @@ class TestAdjunctions:
         assert A.leq(c, u)
         assert A.mul[c][c] == 0
         assert A.mul[u][u] == (c if u2 == "c" else u)
+
+
+def integral_adjoins(max_n):
+    """Every adjoin of every integral census class of order <= max_n, with
+    its base and the number of elements it inserts."""
+    for n in range(2, max_n + 1):
+        for A1 in enumerate_posemirings(n).instances:
+            if zero_divisors(A1):
+                continue
+            yield A1, 1, cons.adjoin_z1(A1)
+            for u2 in ("c", "u"):
+                yield A1, 2, cons.adjoin_z2_chain(A1, u2)
+            try:
+                yield A1, 2, cons.adjoin_z2_incomparable(A1)
+            except DomainError:     # no least nonzero element
+                pass
+
+
+class TestTableKernels:
+    """direct_product and the adjoins against cell-by-cell oracles and
+    digests of the tables they built before sharing their kernels."""
+
+    def test_product_matches_cell_oracle(self, census_instances):
+        small = [A for A in census_instances if A.order <= 4]
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        for A in small:
+            for B in grid:
+                for X, Y in ((A, B), (B, A)):
+                    P = cons.direct_product(X, Y)
+                    want = oracles.product_tables((X.add, X.mul),
+                                                  (Y.add, Y.mul))
+                    assert [P.add, P.mul] == [tuple(map(tuple, t))
+                                              for t in want]
+
+    def test_construction_grid_pinned(self):
+        grid = harness.construction_grid().posemirings
+        digest = hashlib.sha256()
+        for name, A in grid:
+            digest.update(f"{name}\n{to_text(A)}".encode())
+        assert (len(grid), digest.hexdigest()) == (
+            37,
+            "486dd5347e438f511a019a0f1770219a259504f1988fa64e68c69b6f0f7907d8")
+
+    def test_adjoins_embed_the_base(self):
+        # the old elements, shifted up, are a sub-po-semiring equal to A1,
+        # and each new element l has l + y = y and l y = l above it
+        for A1, s, A in integral_adjoins(6):
+            old = [0, *range(s + 1, A.order)]
+            sub, _ = cons.sub_posemiring(A, old, top=A.one)
+            assert (sub.add, sub.mul) == (A1.add, A1.mul)
+            for low in range(1, s + 1):
+                assert all(A.add[low][y] == y and A.mul[low][y] == low
+                           for y in old[1:])
+
+    def test_adjoins_on_integral_census_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for _, _, A in integral_adjoins(6):
+            digest.update(to_text(A).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (
+            148,
+            "ec8f580c892bd1706c6a315ee5d56972e1642a804baa1b6c9b3df45c14b52799")
 
 
 class TestSubPosemiring:

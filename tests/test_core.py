@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from posemiring.core import (
     derived_checks,
     enumerate_ideals,
     find_isomorphism,
+    ideal_sum,
     is_ideal,
     is_idempotent,
     is_maximal_element,
@@ -29,6 +31,7 @@ from posemiring.core import (
     orthogonal_complements,
     parse_psr,
     primitive_decomposition,
+    principal_ideal,
     replay_violation,
     to_text,
     verify_axioms,
@@ -156,10 +159,48 @@ class TestIdeals:
                     found.add(frozenset(subset))
         return found
 
-    def test_enumeration_matches_subset_oracle(self, census):
-        for A in census[4].instances:
+    def test_enumeration_matches_subset_oracle(self, census_instances):
+        grid = [A for _, A in harness.construction_grid().posemirings
+                if A.order <= 10]
+        for A in list(census_instances) + grid:
             fast = {i.members for i in enumerate_ideals(A)}
             assert fast == self.brute_force_ideals(A)
+
+    @pytest.fixture(scope="class")
+    def census6_and_grid(self):
+        return ([A for n in range(2, 7)
+                 for A in enumerate_posemirings(n).instances]
+                + [A for _, A in harness.construction_grid().posemirings])
+
+    def test_principal_ideals_are_closures(self, census6_and_grid):
+        # xa + xb = x(a + b), x0 = 0 and x1 = x: the row of x is closed
+        for A in census6_and_grid:
+            for x in A.elements():
+                assert principal_ideal(A, x) == frozenset(A.mul[x]) == \
+                    oracles.ideal_closure(A, {x})
+
+    def test_sums_are_closures(self, census_instances):
+        # the coset skip: J + J lies in J
+        grid = [A for _, A in harness.construction_grid().posemirings]
+        for A in list(census_instances) + grid:
+            family = [i.members for i in enumerate_ideals(A)]
+            for I in family:
+                for J in family:
+                    assert ideal_sum(A, I, J) == \
+                        oracles.ideal_closure(A, I | J)
+
+    def test_family_pinned(self, census6_and_grid):
+        # members, flags and their order, as the fixpoint closure gave them
+        h = hashlib.sha256()
+        for A in census6_and_grid:
+            for i in enumerate_ideals(A):
+                h.update(repr((sorted(i.members), i.hereditary, i.prime,
+                               i.principal_annihilating,
+                               i.lower_principal)).encode())
+            h.update(b"|")
+        assert (len(census6_and_grid), h.hexdigest()) == (
+            202,
+            "96356fc5ed72bd0de602bd1dc5010603913e7eb46cb8ccb54d1d3b2ad503cd1b")
 
     def test_enumeration_matches_oracle_on_examples(self):
         for A in (cons.example_2_6(2), cons.example_4_6(1, "c")):
