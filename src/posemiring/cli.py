@@ -279,6 +279,8 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
         return harness.full_corpus(max_n, min(max_n, 3))
     if spec.startswith("files:"):
         directory = spec[len("files:"):]
+        if not directory:
+            raise CliError(f"bad corpus spec {spec!r}")
         corpus = harness.Corpus()
         for entry in sorted(os.listdir(directory)):
             if entry.endswith(".psr"):

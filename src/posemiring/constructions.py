@@ -24,11 +24,11 @@ from .core import (
     is_minimal_element,
     make_table,
     orthogonal_complement,
+    principal_ideal,
     product_rows,
     split_top_level,
     verify_axioms,
     zero_divisors,
-    _lower_members,
 )
 from .graphs import ZdGraph, build_zdgraph, classify_shape
 
@@ -361,6 +361,14 @@ def _prop45_conditions(A: PoSemiringTable, c: int, u: int, rest: list[int]) -> d
     return cond
 
 
+def _certified(A: PoSemiringTable, rebuilt: PoSemiringTable, what: str):
+    """An isomorphism of A onto rebuilt, the witness of a decomposition."""
+    perm = find_isomorphism(A, rebuilt)
+    if perm is None:
+        raise StructureError(f"{what} rebuild is not isomorphic to the input")
+    return perm
+
+
 def recognize_small_z(A: PoSemiringTable):
     """Recover the integral base of an instance with one or two zero divisors.
 
@@ -372,14 +380,11 @@ def recognize_small_z(A: PoSemiringTable):
     if len(zd) not in (1, 2):
         raise NotApplicableError(f"|Z(A)| = {len(zd)}, expected 1 or 2")
     rest = [x for x in A.elements() if x not in zd]
-    a1, _ = sub_posemiring(A, rest, top=A.one)
+    a1, index = sub_posemiring(A, rest, top=A.one)
 
     if len(zd) == 1:
-        rebuilt = adjoin_z1(a1)
-        perm = find_isomorphism(A, rebuilt)
-        if perm is None:
-            raise StructureError("adjoin_z1 rebuild is not isomorphic to the input")
-        return Z1Decomposition(a1=a1, witness=perm)
+        return Z1Decomposition(
+            a1=a1, witness=_certified(A, adjoin_z1(a1), "adjoin_z1"))
 
     c, u = zd
     z_sq_zero = all(A.mul[x][y] == 0 for x in zd for y in zd)
@@ -390,20 +395,11 @@ def recognize_small_z(A: PoSemiringTable):
     if A.leq(c, u) or A.leq(u, c):
         if A.leq(u, c):
             c, u = u, c
-        u2 = A.mul[u][u]
-        u_square = "c" if u2 == c else "u"
-        rebuilt = adjoin_z2_chain(a1, u_square)
-        perm = find_isomorphism(A, rebuilt)
-        if perm is None:
-            raise StructureError("adjoin_z2_chain rebuild is not isomorphic")
+        u_square = "c" if A.mul[u][u] == c else "u"
+        perm = _certified(A, adjoin_z2_chain(a1, u_square), "adjoin_z2_chain")
         return Z2ChainDecomposition(a1=a1, u_square=u_square, witness=perm)
-    a0_old = A.add[c][u]
-    a0_new = [0] + sorted(set(rest) - {0, A.one}) + [A.one]
-    rebuilt = adjoin_z2_incomparable(a1)
-    perm = find_isomorphism(A, rebuilt)
-    if perm is None:
-        raise StructureError("adjoin_z2_incomparable rebuild is not isomorphic")
-    return Z2IncomparableDecomposition(a1=a1, a0=a0_new.index(a0_old),
+    perm = _certified(A, adjoin_z2_incomparable(a1), "adjoin_z2_incomparable")
+    return Z2IncomparableDecomposition(a1=a1, a0=index[A.add[c][u]],
                                        witness=perm)
 
 
@@ -411,11 +407,6 @@ def peel_boolean(A: PoSemiringTable) -> BooleanPeel:
     """Repeatedly split off {0,1} factors at idempotent minimal elements."""
     if not check_conditions(A).c3:
         raise NotApplicableError("condition (C3) does not hold")
-    return _peel_boolean(A)
-
-
-def _peel_boolean(A: PoSemiringTable) -> BooleanPeel:
-    """peel_boolean without its (C3) check."""
     count = 0
     cur = A
     while cur.order > 2:
@@ -426,13 +417,13 @@ def _peel_boolean(A: PoSemiringTable) -> BooleanPeel:
         f = orthogonal_complement(cur, e)
         if f is None or f == 0:
             break
-        cur, _ = sub_posemiring(cur, _lower_members(cur, f), top=f)
+        # fA is the down-set of f: x <= f means x = xe + xf = xf, as xe <= fe = 0
+        cur, _ = sub_posemiring(cur, principal_ideal(cur, f), top=f)
         count += 1
     if count == 0:
         return BooleanPeel(n=0, a1=A, witness=tuple(A.elements()))
-    perm = find_isomorphism(A, direct_product(boolean_power(count), cur))
-    if perm is None:
-        raise StructureError("boolean peel rebuild is not isomorphic to the input")
+    perm = _certified(A, direct_product(boolean_power(count), cur),
+                      "boolean peel")
     return BooleanPeel(n=count, a1=cur, witness=perm)
 
 
@@ -443,18 +434,13 @@ def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
     shape = classify_shape(posemiring_zdgraph(A))
     if shape.tag != "two-star" or shape.params[0] != 1:
         raise NotApplicableError(f"shape is {shape.line()}, not K1+K1+K1+D_r")
-    return _split_two_star(A)
-
-
-def _split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
-    """split_two_star without its (C3) and graph-shape checks."""
     for e in A.nonzero():
         if not (is_idempotent(A, e) and is_minimal_element(A, e)):
             continue
         f = orthogonal_complement(A, e)
         if f in (None, 0):
             continue
-        s, _ = sub_posemiring(A, _lower_members(A, f), top=f)
+        s, _ = sub_posemiring(A, principal_ideal(A, f), top=f)   # down-set of f
         if len(zero_divisors(s)) != 1:
             continue
         perm = find_isomorphism(A, direct_product(trivial(), s))
@@ -511,9 +497,12 @@ def parse_spec(text: str) -> ConstructionSpec:
     if tail:
         for item in tail.split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if not val:
                 raise StructureError(f"malformed parameter {item!r}")
-            params[key.strip()] = val.strip()
+            if key in params:
+                raise StructureError(f"{head}: duplicate parameter {key!r}")
+            params[key] = val.strip()
     missing = set(_LEAF_KINDS[head]) - set(params)
     extra = set(params) - set(_LEAF_KINDS[head])
     if missing or extra:

@@ -603,17 +603,13 @@ def check_conditions(A: PoSemiringTable) -> ConditionReport:
 
 
 def primitive_decomposition(A: PoSemiringTable, e: int) -> tuple[int, ...]:
-    """Orthogonal primitive idempotents summing to e, ascending by index."""
+    """Orthogonal primitive idempotents summing to e, ascending by index.
+
+    No (C2) is needed on a finite table: splitting along A.splits ends,
+    each part left is primitive, and parts p, q from the two sides of a
+    split w + v are orthogonal, since pq <= wv = 0."""
     if e == 0 or not is_idempotent(A, e):
         raise DomainError(f"element {e} is not a nonzero idempotent")
-    if not check_conditions(A).c2:
-        raise NotApplicableError("condition (C2) does not hold")
-    return _primitive_parts(A, e)
-
-
-def _primitive_parts(A: PoSemiringTable, e: int) -> tuple[int, ...]:
-    """primitive_decomposition without its checks, for callers that know
-    e is a nonzero idempotent and that (C2) holds."""
     parts, stack = [], [e]
     while stack:
         x = stack.pop()

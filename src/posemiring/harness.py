@@ -20,7 +20,6 @@ from .core import (
     NotApplicableError,
     PoSemiringTable,
     StructureError,
-    _primitive_parts,
     analyze_elements,
     check_conditions,
     find_isomorphism,
@@ -28,6 +27,7 @@ from .core import (
     is_minimal_element,
     is_prime_ideal,
     orthogonal_complement,
+    primitive_decomposition,
     principal_ideal,
     verify_axioms,
     zero_divisors,
@@ -206,7 +206,7 @@ def chk_t23(ctx):
             return _fail(("no-complement", e))
         if e != A.one and e not in ctx.zset:
             return _fail(("not-zero-divisor", e))
-        parts = _primitive_parts(A, e)
+        parts = primitive_decomposition(A, e)
         total = 0
         for p in parts:
             if p not in ctx.ana.primitive_idempotents:
@@ -341,7 +341,7 @@ def chk_t35b(ctx):
         return _na("condition (C3) does not hold")
     if ctx.shape.tag != "two-star" or ctx.shape.params[0] != 1:
         return _na("graph is not K1+K1+K1+D_r")
-    split = cons._split_two_star(ctx.A)
+    split = cons.split_two_star(ctx.A)
     if split is None:
         return _fail("no {0,1} x S splitting found")
     if len(zero_divisors(split.s)) != 1:
@@ -468,7 +468,7 @@ def chk_p48(ctx):
     if not ctx.cond.c3:
         return _na("condition (C3) does not hold")
     try:
-        peel = cons._peel_boolean(ctx.A)
+        peel = cons.peel_boolean(ctx.A)
     except StructureError as exc:
         return _fail(str(exc))
     a1 = peel.a1

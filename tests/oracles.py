@@ -622,8 +622,8 @@ def check_conditions(A):
 
 
 def primitive_parts(A, e):
-    """core._primitive_parts, splitting x along its least pair of nonzero
-    idempotents other than x found by a pair scan."""
+    """core.primitive_decomposition, splitting x along its least pair of
+    nonzero idempotents other than x found by a pair scan."""
 
     def split(x):
         for w in A.nonzero():

@@ -74,3 +74,23 @@ def test_traced_census_counts_every_layer():
     assert tracer.absent == []
     assert (tracer.items["census.lattice"], tracer.items["census.search"],
             tracer.items["census.enumerate"]) == (25, 179, 165)
+
+
+def test_traced_catalog_counts_every_decomposition():
+    # the catalog reaches recognize_small_z, peel_boolean and split_two_star
+    # by their public names, so each call is a constructions.decompose span
+    keys = {key for _, _, keys in spans.CALLS for key in keys}
+    lib = SimpleNamespace(**{key: importlib.import_module(f"posemiring.{key}")
+                             for key in keys})
+    corpus = lib.harness.census_corpus(6)
+    corpus.posemirings += lib.harness.construction_grid().posemirings
+    tracer = spans.Tracer()
+    tracer.install(lib)
+    try:
+        report = lib.harness.run_catalog(corpus)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert report.counts["fail"] == 0
+    assert sum(span[0] == "constructions.decompose"
+               for span in tracer.spans) == 210

@@ -147,6 +147,13 @@ class TestConstructAndProduct:
         code, _, err = run(capsys, "construct", "nonsense:k=1")
         assert code == 2 and "error:" in err
 
+    def test_repeated_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "construct", "chain:k=1,k=2")
+        assert (code, out) == (2, "")
+        assert err == "error: chain: duplicate parameter 'k'\n"
+        code, out, _ = run(capsys, "iso", "chain:k=1,k=2", "chain:k=2")
+        assert (code, out) == (2, "")
+
     def test_product(self, tmp_path, capsys):
         a = write_psr(tmp_path, "a.psr", cons.trivial())
         code, out, _ = run(capsys, "product", a, "example-3.2:k=1")
@@ -328,6 +335,11 @@ class TestTheorems:
     def test_unknown_corpus_exit_2(self, capsys):
         code, _, err = run(capsys, "theorems", "--corpus", "what:ever")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["census:", "files:"])
+    def test_corpus_spec_without_argument_exit_2(self, capsys, spec):
+        code, _, err = run(capsys, "theorems", "--corpus", spec)
+        assert (code, err) == (2, f"error: bad corpus spec {spec!r}\n")
 
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(capsys, "theorems", "--corpus", "census:2",

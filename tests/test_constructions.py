@@ -319,6 +319,11 @@ class TestSpecGrammar:
         with pytest.raises(StructureError):
             cons.construct_from_text(text)
 
+    def test_rejects_repeated_param(self):
+        with pytest.raises(StructureError,
+                           match=r"^chain: duplicate parameter 'k'$"):
+            cons.parse_spec("chain:k=1,k=2")
+
     def test_rejects_non_integer_param(self):
         with pytest.raises(StructureError):
             cons.construct_from_text("chain:k=two")

@@ -10,7 +10,6 @@ import oracles
 from posemiring.census import enumerate_posemirings
 from posemiring.core import (
     DomainError,
-    NotApplicableError,
     StructureError,
     analyze_elements,
     annihilator,
@@ -39,6 +38,12 @@ from posemiring.core import (
 )
 from posemiring import constructions as cons
 from posemiring import core, harness, ringlab
+
+
+@pytest.fixture(scope="module")
+def census7_and_grid():
+    return ([A for n in range(2, 8) for A in enumerate_posemirings(n).instances]
+            + [A for _, A in harness.construction_grid().posemirings])
 
 
 def chain3_nilpotent():
@@ -143,10 +148,34 @@ class TestElements:
         assert ana.primitive_idempotents == frozenset({1, 2})
         assert primitive_decomposition(A, A.one) == (1, 2)
 
-    def test_primitive_decomposition_requires_c2(self):
-        A = cons.example_2_6(1)
-        with pytest.raises(NotApplicableError):
-            primitive_decomposition(A, 2)
+    def test_primitive_decomposition_needs_no_c2(self, census7_and_grid):
+        # splitting along A.splits ends on a finite table, and parts from
+        # the two sides of a split w + v are orthogonal: pq <= wv = 0
+        seen = without_c2 = 0
+        for A in census7_and_grid:
+            c2 = check_conditions(A).c2
+            primitive = analyze_elements(A).primitive_idempotents
+            for e in A.nonzero():
+                if not is_idempotent(A, e):
+                    continue
+                parts = primitive_decomposition(A, e)
+                assert parts == oracles.primitive_parts(A, e)
+                assert set(parts) <= primitive
+                assert all(A.mul[p][q] == 0
+                           for p, q in itertools.combinations(parts, 2))
+                total = 0
+                for p in parts:
+                    total = A.add[total][p]
+                assert total == e
+                seen += 1
+                without_c2 += not c2
+        assert (seen, without_c2) == (2240, 1987)
+
+    def test_primitive_decomposition_rejects_non_idempotents(self):
+        A = chain3_nilpotent()
+        for x in (0, 1):
+            with pytest.raises(DomainError):
+                primitive_decomposition(A, x)
 
 
 class TestIdeals:
@@ -178,6 +207,12 @@ class TestIdeals:
             for x in A.elements():
                 assert principal_ideal(A, x) == frozenset(A.mul[x]) == \
                     oracles.ideal_closure(A, {x})
+
+    def test_complement_down_sets_are_principal(self, census7_and_grid):
+        # x <= f means x = xe + xf = xf when e, f are complements: xe <= fe = 0
+        for A in census7_and_grid:
+            for _, f in A.splits[A.one]:
+                assert principal_ideal(A, f) == oracles.lower_members(A, f)
 
     def test_sums_are_closures(self, census_instances):
         # the coset skip: J + J lies in J
@@ -439,8 +474,7 @@ def assert_idempotent_index_matches_oracles(A):
     for w in ana.idempotents:
         assert orthogonal_complements(A, w) == \
             oracles.orthogonal_complements(A, w)
-        if cond.c2:
-            assert core._primitive_parts(A, w) == oracles.primitive_parts(A, w)
+        assert primitive_decomposition(A, w) == oracles.primitive_parts(A, w)
     ctx = harness.Ctx(A)
     assert harness.chk_p21c(ctx) == oracles.chk_p21c(ctx)
     assert harness.chk_t22_tail(ctx) == oracles.chk_t22_tail(ctx)
