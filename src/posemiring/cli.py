@@ -46,10 +46,7 @@ def _read_psr(path: str):
 def _read_valid_psr(path: str):
     """A psr file, rejected unless it satisfies the axioms."""
     A = _read_psr(path)
-    violations = verify_axioms(A).violations
-    if violations:
-        axiom, witness = violations[0]
-        raise CliError(f"{path}: not a po-semiring: {axiom} at {witness}")
+    verify_axioms(A).require_valid(path)
     return A
 
 
@@ -183,8 +180,11 @@ def _write_psr(A, as_json: bool, output=None):
 
 
 def cmd_construct(args):
-    return _write_psr(cons.construct_from_text(args.spec), args.json,
-                      args.output)
+    try:
+        A = cons.construct_from_text(args.spec)
+    except (StructureError, DomainError) as exc:
+        raise CliError(f"{args.spec}: {exc}") from exc
+    return _write_psr(A, args.json, args.output)
 
 
 def cmd_product(args):

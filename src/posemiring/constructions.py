@@ -52,9 +52,7 @@ def _capped(n: int) -> int:
 
 def _verified(names, add, mul) -> PoSemiringTable:
     A = make_table(len(names), names, add, mul)
-    report = verify_axioms(A)
-    if not report.valid:
-        raise StructureError(f"constructed table fails axioms: {report.violations[0]}")
+    verify_axioms(A).require_valid("constructed table")
     return A
 
 
@@ -277,9 +275,7 @@ def sub_posemiring(A: PoSemiringTable, members, top: int):
     add = [[index[A.add[x][y]] for y in ordered] for x in ordered]
     mul = [[index[A.mul[x][y]] for y in ordered] for x in ordered]
     sub = make_table(len(ordered), names, add, mul)
-    report = verify_axioms(sub)
-    if not report.valid:
-        raise StructureError(f"subset is not a po-semiring: {report.violations[0]}")
+    verify_axioms(sub).require_valid("subset")
     return sub, index
 
 

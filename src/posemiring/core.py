@@ -87,6 +87,11 @@ class PoSemiringTable:
                     found[add_w[v]].append((w, v))
         return tuple(map(tuple, found))
 
+    @cached_property
+    def conditions(self) -> ConditionReport:
+        """The (C1)-(C3) report, computed once; read by check_conditions."""
+        return _condition_report(self)
+
     def __repr__(self):
         return f"PoSemiringTable(order={self.order}, names={list(self.names)})"
 
@@ -138,6 +143,14 @@ def product_rows(ta, tb) -> list[tuple[int, ...]]:
 class AxiomReport:
     valid: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def require_valid(self, what: str) -> None:
+        """Raise StructureError "<what>: not a po-semiring: <axiom> at
+        <witness>" for the first violation, if there is one."""
+        if self.violations:
+            axiom, witness = self.violations[0]
+            raise StructureError(
+                f"{what}: not a po-semiring: {axiom} at {witness}")
 
 
 #: reduced axiom checklist; boundedness plus distributivity force idempotent
@@ -527,28 +540,33 @@ def ideal_sum(A, I, J) -> frozenset[int]:
     out = set()
     for i in I:
         if i not in out:
-            row = A.add[i]
-            out.update(row[j] for j in J)
+            out.update(map(A.add[i].__getitem__, J))
     return frozenset(out)
+
+
+def member_mask(members) -> int:
+    """Distinct indices as an int with bit x set for each member x."""
+    return sum(map((1).__lshift__, members))
 
 
 def ideal_family(A) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
     """Every ideal of a po-semiring or a ring, sorted by (size, members), and
     the least generator of each principal one: the principal ideals closed
-    under pairwise sums."""
+    under pairwise sums.  A nested pair I in J is skipped: I + J = J."""
     generator = {}
     for x in reversed(A.elements()):
         generator[principal_ideal(A, x)] = x
     family = set(generator)
-    pending, done = list(family), []
+    pending, done = [(I, member_mask(I)) for I in family], []
     while pending:
-        I = pending.pop()
-        for J in done:
-            K = ideal_sum(A, I, J)
-            if K not in family:
-                family.add(K)
-                pending.append(K)
-        done.append(I)
+        I, m = pending.pop()
+        for J, mj in done:
+            if m & mj not in (m, mj):
+                K = ideal_sum(A, I, J)
+                if K not in family:
+                    family.add(K)
+                    pending.append((K, member_mask(K)))
+        done.append((I, m))
     return sorted(family, key=lambda m: (len(m), sorted(m))), generator
 
 
@@ -581,6 +599,11 @@ class ConditionReport:
 
 
 def check_conditions(A: PoSemiringTable) -> ConditionReport:
+    """(C1)-(C3) of A, computed on the first call and kept on the table."""
+    return A.conditions
+
+
+def _condition_report(A: PoSemiringTable) -> ConditionReport:
     """(C2) over the idempotent and (C3) over the minimal idempotent
     nonzero elements u: each u needs a nonzero idempotent w <= u with an
     orthogonal complement.  Below a minimal u the only candidate w is u.

@@ -710,10 +710,7 @@ def run_catalog(corpus: Corpus, check_ids=None) -> TheoremReport:
               for scope in ("posemiring", "product-pair", "ring")}
 
     for iid, A in corpus.posemirings:
-        rep = verify_axioms(A)
-        if not rep.valid:
-            raise StructureError(
-                f"corpus instance {iid} is invalid: {rep.violations[0]}")
+        verify_axioms(A).require_valid(f"corpus instance {iid}")
 
     results = []
     for iid, A in corpus.posemirings:

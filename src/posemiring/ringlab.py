@@ -20,7 +20,8 @@ from .core import (
     commutative_witness,
     distributive_witness,
     ideal_family,
-    make_table,
+    member_mask,
+    principal_ideal,
     product_rows,
     read_table_text,
     row_witness,
@@ -106,8 +107,10 @@ def ring_zn(n: int) -> FiniteRing:
     if not 2 <= n <= ORDER_CAP:
         raise DomainError(f"zn order must be in [2, {ORDER_CAP}]")
     names = [str(i) for i in range(n)]
-    add = [tuple(range(x, n)) + tuple(range(x)) for x in range(n)]
-    mul = [tuple(x * y % n for y in range(n)) for x in range(n)]
+    twice = tuple(range(n)) * 2
+    add = [twice[x:x + n] for x in range(n)]
+    mul = [(0,) * n] + [tuple(map(n.__rmod__, range(0, x * n, x)))
+                        for x in range(1, n)]
     return _make_ring(n, names, add, mul, one=1 % n, check=False)
 
 
@@ -244,21 +247,17 @@ def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
     return "{" + ",".join(R.names[x] for x in sorted(ideal.members)) + "}"
 
 
-def _mask(elements) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << x
-    return mask
-
-
 def ideal_semiring(R: FiniteRing):
     """The po-semiring I(R): ideal sum, ideal product, ordered by inclusion.
 
     I + J and IJ are the least ideals containing I | J and all products ij.
-    Ideals are bit masks over R.  Every ideal is the sum of the maximal
-    principal ideals inside it, so IJ is the least ideal containing every
-    gh, with g and h the least generators of those inside I and inside J.
-    Returns (table, ideals) with ideals[i] the ideal at table index i.
+    Ideals are bit masks over R, and I + J is J when I lies in J.  The
+    product of principal ideals (g)(h) is the principal ideal (gh), found
+    from the mask of row gh.  Every ideal is the sum of the maximal
+    principal ideals inside it, so any other IJ is the least ideal
+    containing every gh, with g and h the least generators of those inside
+    I and inside J.  Returns (table, ideals) with ideals[i] the ideal at
+    table index i.
     """
     ideals = R.ideals
     k = len(ideals)
@@ -270,9 +269,11 @@ def ideal_semiring(R: FiniteRing):
         while nm in names:
             nm += "'"
         names.append(nm)
-    masks = [_mask(i.members) for i in ideals]
-    principal = [(m, i.generators[0]) for m, i in zip(masks, ideals)
-                 if i.generators]
+    masks = [member_mask(i.members) for i in ideals]
+    position = {m: pos for pos, m in enumerate(masks)}
+    at = {i.generators[0]: pos for pos, i in enumerate(ideals)
+          if i.generators}          # at[x]: the position of (x), once found
+    principal = [(masks[pos], g) for g, pos in at.items()]
     gens = []
     for m, ideal in zip(masks, ideals):
         if ideal.generators:
@@ -286,17 +287,30 @@ def ideal_semiring(R: FiniteRing):
         return next(pos for pos in range(start, k)
                     if mask & masks[pos] == mask)
 
+    def principal_at(x):
+        if x not in at:
+            at[x] = position[member_mask(principal_ideal(R, x))]
+        return at[x]
+
     add = [[0] * k for _ in range(k)]
     mul = [[0] * k for _ in range(k)]
     for a in range(k):
+        ma, ga = masks[a], gens[a]
         for b in range(a, k):   # I + J contains J, so it is listed from b on
-            add[a][b] = add[b][a] = least(masks[a] | masks[b], b)
-            mul[a][b] = mul[b][a] = least(_mask(
-                R.mul[g][h] for g in gens[a] for h in gens[b]))
-    table = make_table(k, names, add, mul)
-    report = verify_axioms(table)
-    if not report.valid:
-        raise StructureError(f"I(R) fails the axioms: {report.violations[0]}")
+            mb, gb = masks[b], gens[b]
+            add[a][b] = add[b][a] = (b if ma & mb == ma
+                                     else least(ma | mb, b))
+            if ideals[a].generators and ideals[b].generators:
+                mul[a][b] = mul[b][a] = principal_at(R.mul[ga[0]][gb[0]])
+            else:
+                mul[a][b] = mul[b][a] = least(member_mask(
+                    {R.mul[g][h] for g in ga for h in gb}))
+    # every entry is a position below k <= IDEAL_COUNT_CAP and the names
+    # are distinct, so make_table's checks hold by construction
+    table = PoSemiringTable(order=k, names=tuple(names),
+                            add=tuple(map(tuple, add)),
+                            mul=tuple(map(tuple, mul)))
+    verify_axioms(table).require_valid("I(R)")
     return table, ideals
 
 

@@ -150,9 +150,17 @@ class TestConstructAndProduct:
     def test_repeated_parameter_exit_2(self, capsys):
         code, out, err = run(capsys, "construct", "chain:k=1,k=2")
         assert (code, out) == (2, "")
-        assert err == "error: chain: duplicate parameter 'k'\n"
+        assert err == "error: chain:k=1,k=2: chain: duplicate parameter 'k'\n"
         code, out, _ = run(capsys, "iso", "chain:k=1,k=2", "chain:k=2")
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("chain:k=1,", "malformed parameter ''"),
+        ("product(chain:k=1,)", "unknown construction kind ''")])
+    def test_spec_error_names_the_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, "construct", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {spec}: {message}\n"
 
     def test_product(self, tmp_path, capsys):
         a = write_psr(tmp_path, "a.psr", cons.trivial())

@@ -41,8 +41,10 @@ class TestCatalogStructure:
                          [[0, 1, 2], [1, 0, 2], [2, 2, 2]],
                          [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
         corpus = single_instance_corpus("broken-one", bad)
-        with pytest.raises(StructureError, match="broken-one"):
+        with pytest.raises(StructureError) as info:
             harness.run_catalog(corpus)
+        assert str(info.value) == ("corpus instance broken-one: not a "
+                                   "po-semiring: distributive at (1, 2, 2)")
 
 
 class TestNotApplicableDiscipline:
@@ -122,6 +124,22 @@ class TestSharedAnalysis:
                 assert calls == []
                 applied[chk.__name__] += res.status == "pass"
         assert min(applied.values()) > 0
+
+    def test_conditions_computed_once_per_instance(self, monkeypatch):
+        # the peel and two-star guards read the report the checks computed
+        calls = []
+        report = core._condition_report
+
+        def counting(A):
+            calls.append(A)
+            return report(A)
+
+        monkeypatch.setattr(core, "_condition_report", counting)
+        corpus = harness.census_corpus(5)
+        corpus.posemirings += harness.construction_grid().posemirings
+        assert not harness.run_catalog(corpus).failures
+        assert Counter(map(id, calls)) == Counter(
+            id(A) for _, A in corpus.posemirings)
 
     def test_pair_bases_analysed_once_each(self, monkeypatch):
         calls = []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from posemiring import constructions as cons
-from posemiring import harness, ringlab
+from posemiring import core, harness, ringlab
 from posemiring.core import (
     ORDER_CAP,
     DomainError,
@@ -86,6 +86,12 @@ class TestRingConstruction:
         with pytest.raises(DomainError):
             ringlab.ring_zn(ORDER_CAP + 1)
 
+    def test_zn_matches_oracle(self):
+        for n in (*range(2, 65), 210, 255, ORDER_CAP):
+            R = ringlab.ring_zn(n)
+            assert (R.add, R.mul) == tuple(
+                tuple(map(tuple, op)) for op in oracles.zn_tables(n)), n
+
     def test_quadratic_field(self):
         # x^2 + x + 1 is irreducible over Z_2: this is the field F_4
         R = ringlab.ring_quadratic(2, 1, 1)
@@ -150,6 +156,21 @@ class TestIdeals:
         assert names[-1] == "(1)"
         sizes = [len(i.members) for i in ideals]
         assert sizes == [1, 2, 3, 4, 6, 12]
+
+    def test_nested_pairs_are_not_summed(self, monkeypatch):
+        # I in J gives I + J = J, so ideal_family never sums such a pair
+        pairs = []
+        ideal_sum = core.ideal_sum
+
+        def checking(A, I, J):
+            pairs.append((I, J))
+            return ideal_sum(A, I, J)
+
+        monkeypatch.setattr(core, "ideal_sum", checking)
+        for _, R in harness.default_ring_corpus():
+            ringlab.enumerate_ring_ideals(R)
+        assert pairs
+        assert not [(I, J) for I, J in pairs if I <= J or J <= I]
 
     def test_ideal_ordering_zero_first_ring_last(self):
         for spec in ("zn:9", "zn:16", "zpx:3:0:0"):
