@@ -107,8 +107,7 @@ def ring_zn(n: int) -> FiniteRing:
     if not 2 <= n <= ORDER_CAP:
         raise DomainError(f"zn order must be in [2, {ORDER_CAP}]")
     names = [str(i) for i in range(n)]
-    twice = tuple(range(n)) * 2
-    add = [twice[x:x + n] for x in range(n)]
+    add = [tuple(range(x, n)) + tuple(range(x)) for x in range(n)]
     mul = [(0,) * n] + [tuple(map(n.__rmod__, range(0, x * n, x)))
                         for x in range(1, n)]
     return _make_ring(n, names, add, mul, one=1 % n, check=False)
@@ -251,13 +250,12 @@ def ideal_semiring(R: FiniteRing):
     """The po-semiring I(R): ideal sum, ideal product, ordered by inclusion.
 
     I + J and IJ are the least ideals containing I | J and all products ij.
-    Ideals are bit masks over R, and I + J is J when I lies in J.  The
-    product of principal ideals (g)(h) is the principal ideal (gh), found
-    from the mask of row gh.  Every ideal is the sum of the maximal
-    principal ideals inside it, so any other IJ is the least ideal
-    containing every gh, with g and h the least generators of those inside
-    I and inside J.  Returns (table, ideals) with ideals[i] the ideal at
-    table index i.
+    Ideals are bit masks over R.  The product of principal ideals (g)(h) is
+    the principal ideal (gh), found from the mask of row gh.  Every ideal is
+    the sum of the maximal principal ideals inside it, so any other IJ is
+    the least ideal containing every gh, with g and h the least generators
+    of those inside I and inside J.  Returns (table, ideals) with ideals[i]
+    the ideal at table index i.
     """
     ideals = R.ideals
     k = len(ideals)
@@ -295,11 +293,10 @@ def ideal_semiring(R: FiniteRing):
     add = [[0] * k for _ in range(k)]
     mul = [[0] * k for _ in range(k)]
     for a in range(k):
-        ma, ga = masks[a], gens[a]
+        ga = gens[a]
         for b in range(a, k):   # I + J contains J, so it is listed from b on
-            mb, gb = masks[b], gens[b]
-            add[a][b] = add[b][a] = (b if ma & mb == ma
-                                     else least(ma | mb, b))
+            gb = gens[b]
+            add[a][b] = add[b][a] = least(masks[a] | masks[b], b)
             if ideals[a].generators and ideals[b].generators:
                 mul[a][b] = mul[b][a] = principal_at(R.mul[ga[0]][gb[0]])
             else:
