@@ -232,12 +232,20 @@ def _mul_backtrack(n: int, add):
     row xb before row x, and the values of row x at the rows before it are
     fixed by commutativity: its key f[1:x] is the strided slice of column
     x over rows 1..x-1 of the table placed so far.
-    Associativity is composition: mul_x . mul_b == mul_b . mul_x ==
-    mul_{xb} for every earlier b and for b = x, checked with
-    bytes.translate on rows padded to 256 bytes.  Forward checking: once
-    row x is placed, every row y >= x+2 must still have a candidate whose
-    key starts with column y over rows 1..x, found by bisect in its sorted
-    keys (row x+1 is looked up next anyway).
+    Associativity is one composition per earlier row: mul_x . mul_b ==
+    mul_{xb}, that is x(by) = (xb)y for all y, for every b < x and for
+    b = x, checked with bytes.translate on rows padded to 256 bytes.  This
+    suffices: write g(u, v, w) = u(vw), symmetric in v and w by
+    commutativity.  The check gives u(vw) = (uv)w = w(uv), so
+    g(u, v, w) = g(w, u, v) whenever u >= v (u or v equal to 0 or to the
+    identity passes trivially).  Putting the larger of q, r second, every
+    g(p, q, r) equals g(max(q, r), min(q, r), p); so for a <= b <= c,
+    g(a, b, c) = g(c, b, a) and g(b, a, c) = g(c, a, b) = g(c, b, a).  With
+    the symmetry in the last two places, g takes one value on all six
+    orders of a triple, and a(bc) = g(a, b, c) = g(c, a, b) = c(ab) = (ab)c.
+    Forward checking: once row x is placed, every row y >= x+2 must still
+    have a candidate whose key starts with column y over rows 1..x, found
+    by bisect in its sorted keys (row x+1 is looked up next anyway).
     """
     one = n - 1
     if any(add[x][y] == y for y in range(n) for x in range(y + 1, n)):
@@ -255,7 +263,6 @@ def _mul_backtrack(n: int, add):
             buckets[x].setdefault(f[1:x], []).append((f, f + pad))
     keys = [sorted(bucket) for bucket in buckets]
     rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
-    maps = [None] * n
     # stack[x - 1] iterates over the candidates left for row x
     stack = [iter(buckets[1].get(b"", ()))]
     while stack:
@@ -265,15 +272,13 @@ def _mul_backtrack(n: int, add):
             if f.translate(fmap) != rows[f[x]]:
                 continue
             for b in range(1, x):       # a loop is faster than all() here
-                if not (rows[b].translate(fmap) == rows[f[b]]
-                        == f.translate(maps[b])):
+                if rows[b].translate(fmap) != rows[f[b]]:
                     break
             else:
                 tab[x * n:x * n + n] = f
                 if x + 1 == one:
                     yield bytes(tab)
                 elif _later_rows_open(tab, keys, n, x):
-                    maps[x] = fmap
                     stack.append(iter(buckets[x + 1].get(
                         bytes(tab[n + x + 1:x * n + n:n]), ())))
                     break

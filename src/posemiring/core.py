@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
 from operator import and_, eq, itemgetter, or_
 
 
@@ -121,18 +120,19 @@ def _check_matrix(rows, order, label):
     return rows
 
 
-def product_rows(ta, tb) -> list[tuple[int, ...]]:
-    """The rows of the componentwise operation on pairs (a, b), at index
-    a*len(tb) + b, from the rows ta and tb of two operation tables.
+def product_rows(ta, tb) -> list[bytes]:
+    """The rows, as bytes, of the componentwise operation on pairs (a, b),
+    at index a*len(tb) + b, from the rows ta and tb of two operation
+    tables whose orders multiply to at most ORDER_CAP.
 
-    Row (a, b) is, for each u in ta's row a, tb's row b shifted by
-    u*len(tb): the rows are joined from shifted copies of tb's rows.
+    Row (a, b) joins, for each u in ta's row a, tb's row b shifted by
+    u*len(tb); each shifted row is one bytes.translate of tb's row.
     """
     nb = len(tb)
-    shifted = [[tuple(u * nb + v for v in row) for u in range(len(ta))]
-               for row in tb]
-    return [tuple(chain.from_iterable(map(sb.__getitem__, ra)))
-            for ra in ta for sb in shifted]
+    pad = bytes(256 - nb)
+    shifts = [bytes(range(u * nb, u * nb + nb)) + pad for u in range(len(ta))]
+    shifted = [[row.translate(s) for s in shifts] for row in map(bytes, tb)]
+    return [b"".join(map(sb.__getitem__, ra)) for ra in ta for sb in shifted]
 
 
 # ---------------------------------------------------------------------------

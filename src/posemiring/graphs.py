@@ -128,6 +128,25 @@ def _members(mask: int):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+def component_count(masks) -> int:
+    """The number of connected components, by bit-mask flood fill: each
+    vertex's mask is read once, when the fill first reaches it."""
+    unseen = (1 << len(masks)) - 1
+    count = 0
+    while unseen:
+        count += 1
+        frontier = unseen & -unseen     # the least vertex not reached yet
+        while frontier:
+            unseen &= ~frontier
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & unseen
+    return count
+
+
 def graph_metrics(G: ZdGraph) -> GraphMetrics:
     if G.n == 0:
         return GraphMetrics(diameter=None, girth=None, clique_number=0,
@@ -144,9 +163,7 @@ def graph_metrics(G: ZdGraph) -> GraphMetrics:
         diameter=max(ecc),                  # inf exactly when disconnected
         girth=min((c for c in cycles if c is not None), default=None),
         clique_number=clique_number,
-        # v starts a component when no earlier vertex reaches it
-        component_count=sum(all(dist[u][v] == INF for u in range(v))
-                            for v in range(G.n)),
+        component_count=component_count(masks),
         eccentricity=ecc,
         triangle_free=clique_number < 3,
         # a C4 subgraph exists iff some vertex pair has two common neighbours
@@ -161,6 +178,10 @@ def graph_metrics(G: ZdGraph) -> GraphMetrics:
 # Shape classification
 
 
+_ACYCLIC_TAGS = frozenset(("empty", "single-vertex", "star", "two-star",
+                           "forest"))
+
+
 @dataclass(frozen=True)
 class GraphShape:
     tag: str            # empty | single-vertex | complete | star | two-star |
@@ -171,6 +192,14 @@ class GraphShape:
     @cached_property
     def metrics(self) -> GraphMetrics:
         return graph_metrics(self.graph)
+
+    @property
+    def acyclic(self) -> bool:
+        """Whether the graph has no cycle.  A complete graph on three or
+        more vertices has a triangle, and a complete-bipartite one (never
+        a star, which precedes it) has parts of two or more, so a C4."""
+        return (self.tag in _ACYCLIC_TAGS
+                or self.tag == "complete" and self.params == (2,))
 
     def line(self) -> str:
         if self.tag == "complete":
@@ -191,11 +220,12 @@ class GraphShape:
 def classify_shape(G: ZdGraph) -> GraphShape:
     """Deterministic shape tag under a fixed precedence; K2 reports as complete.
 
-    Every tag but forest and cyclic is read from the degrees and masks:
+    Every tag is read from the degrees and masks, so no metric is computed:
     a two-star is an edge u-v whose ends both have degree >= 2 while every
-    other vertex is a leaf on u or on v, and K_{m,n} is a graph whose
-    masks take exactly two values (no v lies in its own mask, so the
-    vertices sharing one value form the other, and those are the parts).
+    other vertex is a leaf on u or on v, K_{m,n} is a graph whose masks
+    take exactly two values (no v lies in its own mask, so the vertices
+    sharing one value form the other, and those are the parts), and a
+    forest is a graph with n - c edges for c components.
     """
     n, masks = G.n, G.masks
     if n <= 1:
@@ -215,11 +245,8 @@ def classify_shape(G: ZdGraph) -> GraphShape:
     if len(parts) == 2:
         return GraphShape("complete-bipartite",
                           tuple(sorted(m.bit_count() for m in parts)), G)
-    m = graph_metrics(G)
-    shape = GraphShape("forest" if nedges == n - m.component_count
-                       else "cyclic", (), G)
-    shape.__dict__["metrics"] = m       # cached_property's slot: no rerun
-    return shape
+    return GraphShape("forest" if nedges == n - component_count(masks)
+                      else "cyclic", (), G)
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,9 @@ class Ctx:
     def zset(self):
         return self.ana.zero_divisors
 
-    @cached_property
+    @property
     def acyclic(self):
-        return self.metrics.girth is None
+        return self.shape.acyclic
 
     @cached_property
     def _small_z(self):
@@ -316,9 +316,6 @@ def chk_l34c(ctx):
                 return _fail(("clique-coverage", u,
                               sorted(G.vertices[w] for w in K)))
     return _pass()
-
-
-_ACYCLIC_SHAPES = {"single-vertex", "star", "two-star", "complete"}
 
 
 def chk_t35a(ctx):

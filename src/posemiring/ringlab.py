@@ -6,8 +6,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 from .core import (
     ORDER_CAP,
@@ -96,25 +94,43 @@ def _check_ring(R: FiniteRing):
 
 def _make_ring(order, names, add, mul, one, check=True) -> FiniteRing:
     R = FiniteRing(order=order, names=tuple(names),
-                   add=tuple(tuple(r) for r in add),
-                   mul=tuple(tuple(r) for r in mul), one=one)
+                   add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)),
+                   one=one)
     if check:
         _check_ring(R)
     return R
 
 
-def ring_zn(n: int) -> FiniteRing:
+def _zn_rows(n: int) -> tuple[list[bytes], list[bytes]]:
+    """Z_n's add and mul rows as bytes, for 2 <= n <= ORDER_CAP.
+
+    With m = bytes(range(n)) * n, m[k] = k mod n, so row x of + is the
+    slice m[x:x+n] and row x > 0 of * the strided slice m[0:x*n:x].
+    """
+    m = bytes(range(n)) * n
+    return ([m[x:x + n] for x in range(n)],
+            [bytes(n)] + [m[0:x * n:x] for x in range(1, n)])
+
+
+def _check_zn_order(n: int):
     if not 2 <= n <= ORDER_CAP:
         raise DomainError(f"zn order must be in [2, {ORDER_CAP}]")
-    names = [str(i) for i in range(n)]
-    add = [tuple(range(x, n)) + tuple(range(x)) for x in range(n)]
-    mul = [(0,) * n] + [tuple(map(n.__rmod__, range(0, x * n, x)))
-                        for x in range(1, n)]
-    return _make_ring(n, names, add, mul, one=1 % n, check=False)
+
+
+def ring_zn(n: int) -> FiniteRing:
+    _check_zn_order(n)
+    add, mul = _zn_rows(n)
+    return _make_ring(n, map(str, range(n)), add, mul, one=1 % n,
+                      check=False)
 
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def _check_zpx_modulus(p: int):
+    if p > ZPX_PRIME_CAP or not _is_prime(p):
+        raise DomainError(f"zpx modulus must be a prime <= {ZPX_PRIME_CAP}")
 
 
 def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
@@ -122,27 +138,26 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
 
     The additive group is Z_p x Z_p.  Multiplication by u = a + b*x sends
     c + d*x to c*u + d*(u*x), where u*x = -b*c0 + (a - b*c1)*x, so u's row
-    is read off the add table from the multiples of u and of u*x.
+    joins, for each multiple c*u, the multiples d*(u*x) translated by
+    row c*u of the add table.
     """
-    if p > ZPX_PRIME_CAP or not _is_prime(p):
-        raise DomainError(f"zpx modulus must be a prime <= {ZPX_PRIME_CAP}")
+    _check_zpx_modulus(p)
     c1, c0 = c1 % p, c0 % p
     n = p * p
-    zp = ring_zn(p).add
-    add = product_rows(zp, zp)
+    zadd, zmul = _zn_rows(p)
+    add = product_rows(zadd, zadd)
+    maps = [row + bytes(256 - n) for row in add]
 
-    def multiples(v):           # 0, v, 2v, ..., (p-1)v
-        out = [0]
-        for _ in range(p - 1):
-            out.append(add[out[-1]][v])
-        return out
+    def multiples(v):           # the indices of 0, v, 2v, ..., (p-1)v
+        a, b = divmod(v, p)
+        return bytes(i * p + j for i, j in zip(zmul[a], zmul[b]))
 
     mul = []
     for u in range(n):
         a, b = divmod(u, p)
-        pick = itemgetter(*multiples(-b * c0 % p * p + (a - b * c1) % p))
-        mul.append(tuple(chain.from_iterable(
-            pick(add[cu]) for cu in multiples(u))))
+        ux = multiples(-b * c0 % p * p + (a - b * c1) % p)
+        mul.append(b"".join([ux.translate(maps[cu])
+                             for cu in multiples(u)]))
     names = []
     for a in range(p):
         for b in range(p):
@@ -154,11 +169,15 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
     return _make_ring(n, names, add, mul, one=p)
 
 
+def _check_product_order(n: int):
+    if n > ORDER_CAP:
+        raise DomainError(f"product order {n} exceeds cap {ORDER_CAP}")
+
+
 def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     """R x S with (a, b) at index a*|S| + b."""
     n = R.order * S.order
-    if n > ORDER_CAP:
-        raise DomainError(f"product order {n} exceeds cap {ORDER_CAP}")
+    _check_product_order(n)
     names = [f"({a},{b})" for a in R.names for b in S.names]
     return _make_ring(n, names, product_rows(R.add, S.add),
                       product_rows(R.mul, S.mul), one=R.one * S.order + S.one,
@@ -183,21 +202,38 @@ def ring_to_text(R: FiniteRing) -> str:
 
 
 def make_ring(spec: str, read_file=None) -> FiniteRing:
-    """Ring construction grammar: zn:N, zpx:p:c1:c0, prod(a,b), file:path."""
+    """Ring construction grammar: zn:N, zpx:p:c1:c0, prod(a,b), file:path.
+
+    The whole spec is checked before any table is built, so a product over
+    the order cap fails without building its factors.
+    """
+    return _ring_plan(spec, read_file)[1]()
+
+
+def _ring_plan(spec: str, read_file):
+    """(order, build) for a ring spec, with build() making the ring.
+
+    Raises every error of the spec in the order building it would meet
+    them: a prod(a, b) checks a, then b, then its own order.  A file is
+    read and its ring built here, as its order is only known from it.
+    """
     spec = spec.strip()
     m = re.fullmatch(r"prod\((.*)\)", spec)
     if m:
         parts = split_top_level(m.group(1))
         if len(parts) != 2:
             raise StructureError("prod() takes two specs")
-        return ring_product(make_ring(parts[0], read_file),
-                            make_ring(parts[1], read_file))
+        na, build_a = _ring_plan(parts[0], read_file)
+        nb, build_b = _ring_plan(parts[1], read_file)
+        _check_product_order(na * nb)
+        return na * nb, lambda: ring_product(build_a(), build_b())
     if spec.startswith("zn:"):
         try:
             n = int(spec[3:])
         except ValueError:
             raise StructureError(f"bad zn spec {spec!r}") from None
-        return ring_zn(n)
+        _check_zn_order(n)
+        return n, lambda: ring_zn(n)
     if spec.startswith("zpx:"):
         parts = spec[4:].split(":")
         if len(parts) != 3:
@@ -206,7 +242,8 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
             p, c1, c0 = (int(v) for v in parts)
         except ValueError:
             raise StructureError(f"bad zpx spec {spec!r}") from None
-        return ring_quadratic(p, c1, c0)
+        _check_zpx_modulus(p)
+        return p * p, lambda: ring_quadratic(p, c1, c0)
     if spec.startswith("file:"):
         path = spec[5:]
         if read_file is None:
@@ -219,7 +256,8 @@ def make_ring(spec: str, read_file=None) -> FiniteRing:
                         f"{exc.start})") from exc
         else:
             text = read_file(path)
-        return parse_ring_file(text)
+        R = parse_ring_file(text)
+        return R.order, lambda: R
     raise StructureError(f"unknown ring spec {spec!r}")
 
 

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from posemiring import constructions as cons
-from posemiring import core, harness, ringlab
+from posemiring import core, graphs, harness, ringlab
 from posemiring.census import enumerate_posemirings
 from posemiring.core import StructureError, make_table
 from posemiring.graphs import ZdGraph
@@ -347,6 +348,30 @@ class TestRingChecks:
                         ("zn:27", ringlab.ring_zn(27))]
         report = harness.run_catalog(corpus, check_ids=["C4.4"])
         assert all(res.status == "pass" for _, _, res in report.results)
+
+
+class TestGraphMetricsOnDemand:
+    """Shapes and the acyclic test come from degrees, masks and a component
+    count; the full metrics are computed only for the checks that read them."""
+
+    def test_ring_catalog_computes_no_graph_metrics(self, monkeypatch):
+        calls = []
+        metrics = graphs.graph_metrics
+        monkeypatch.setattr(graphs, "graph_metrics",
+                            lambda G: calls.append(G) or metrics(G))
+        report = harness.run_catalog(
+            harness.Corpus(rings=harness.default_ring_corpus()))
+        assert not report.failures and calls == []
+        # the counter sees a read of the metrics
+        assert graphs.classify_shape(ZdGraph((1, 2), (2, 1))).metrics.girth \
+            is None and len(calls) == 1
+
+    def test_acyclic_is_oracle_girth_none(self):
+        for n in range(2, 8):
+            for A in enumerate_posemirings(n, mode="fast").instances:
+                ctx = harness.Ctx(A)
+                assert ctx.acyclic == (
+                    oracles.graph_metrics(ctx.graph).girth is None), A
 
 
 class TestCorpusBuilders:

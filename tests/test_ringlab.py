@@ -118,6 +118,50 @@ class TestRingConstruction:
         assert len(ringlab.enumerate_ring_ideals(R)) == \
             len(ringlab.enumerate_ring_ideals(ringlab.ring_zn(6)))
 
+    def test_quadratic_matches_oracle(self):
+        cases = [(p, c1, c0) for p in (2, 3, 5, 7)
+                 for c1 in range(p) for c0 in range(p)]
+        cases += [(p, c1, c0) for p in (11, 13) for c1 in (0, 1)
+                  for c0 in (0, 1)]
+        for p, c1, c0 in cases:
+            R = ringlab.ring_quadratic(p, c1, c0)
+            assert (R.add, R.mul) == tuple(
+                tuple(map(tuple, op))
+                for op in oracles.quadratic_tables(p, c1, c0)), (p, c1, c0)
+
+    @pytest.mark.parametrize("left,right", [
+        ("zn:2", "zn:128"), ("zn:128", "zn:2"), ("zn:3", "zn:5"),
+        ("zn:6", "zn:4"), ("zpx:2:1:1", "zn:7"), ("zn:5", "zpx:3:0:0"),
+        ("zpx:2:0:0", "zpx:3:1:2")])
+    def test_product_rows_match_oracle(self, left, right):
+        R, S = ringlab.make_ring(left), ringlab.make_ring(right)
+        got = [core.product_rows(R.add, S.add), core.product_rows(R.mul, S.mul)]
+        want = oracles.product_tables((R.add, R.mul), (S.add, S.mul))
+        assert got == [list(map(bytes, op)) for op in want]
+
+    def test_product_order_bounded_before_building(self, monkeypatch):
+        calls = []
+        quadratic = ringlab.ring_quadratic
+        monkeypatch.setattr(ringlab, "ring_quadratic",
+                            lambda *args: calls.append(args) or quadratic(*args))
+        with pytest.raises(DomainError,
+                           match=r"^product order 28561 exceeds cap 256$"):
+            ringlab.make_ring("prod(zpx:13:0:1,zpx:13:0:2)")
+        assert calls == []
+        assert ringlab.make_ring("prod(zpx:3:0:1,zn:2)").order == 18
+        assert calls == [(3, 0, 1)]
+
+    @pytest.mark.parametrize("spec,message", [
+        # errors come in the order building would meet them
+        ("prod(zn:999,prod(zn:128,zn:4))", r"zn order must be in \[2, 256\]"),
+        ("prod(prod(zn:128,zn:4),zn:999)", r"product order 512 exceeds"),
+        ("prod(prod(zn:16,zn:4),zn:8)", r"product order 512 exceeds"),
+        ("prod(zpx:4:0:0,zn:999)", r"zpx modulus must be a prime"),
+        ("prod(zn:2,zpx:3:0)", r"zpx spec is zpx:p:c1:c0")])
+    def test_spec_errors_in_build_order(self, spec, message):
+        with pytest.raises((DomainError, StructureError), match=message):
+            ringlab.make_ring(spec)
+
     def test_make_ring_grammar(self):
         assert ringlab.make_ring("zn:4").order == 4
         assert ringlab.make_ring("zpx:3:0:1").order == 9
