@@ -35,16 +35,8 @@ from .graphs import ZdGraph, build_zdgraph, classify_shape
 BOOLEAN_POWER_CAP = 6
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    kind: str
-    params: dict
-    children: tuple["ConstructionSpec", ...] = ()
-
-
 def _capped(n: int) -> int:
-    """n, once it is known to be a table order within ORDER_CAP; checked
-    before any cell is computed."""
+    """n, once it is known to be a table order within ORDER_CAP."""
     if n > ORDER_CAP:
         raise DomainError(f"order {n} exceeds cap {ORDER_CAP}")
     return n
@@ -57,7 +49,7 @@ def _verified(names, add, mul) -> PoSemiringTable:
 
 
 def _table_from_ops(names, addf, mulf) -> PoSemiringTable:
-    n = _capped(len(names))
+    n = len(names)              # each constructor has capped it
     return _verified(names, [[addf(x, y) for y in range(n)] for x in range(n)],
                      [[mulf(x, y) for y in range(n)] for x in range(n)])
 
@@ -66,19 +58,47 @@ def trivial() -> PoSemiringTable:
     return _table_from_ops(("0", "1"), max, min)
 
 
-def chain_lattice(k: int) -> PoSemiringTable:
-    """The integral chain 0 < c1 < ... < ck < 1 with max addition, min product."""
+def _chain_order(k: int) -> int:
     if k < 0:
         raise DomainError("chain length must be >= 0")
+    return _capped(k + 2)
+
+
+def _b_chain(k: int, *low: str) -> tuple[str, ...]:
+    """The names of the chain 0 < low < b1 < ... < bk < 1 of the Examples."""
+    if k < 1:
+        raise DomainError("need at least one b element (k >= 1)")
+    _capped(len(low) + k + 2)
+    return ("0", *low, *(f"b{i}" for i in range(1, k + 1)), "1")
+
+
+def _example_4_7_names(k: int, pos: int) -> tuple[str, ...]:
+    if pos < 2:
+        raise DomainError("threshold position must be > 1")
+    if pos > k:
+        raise DomainError(f"threshold position {pos} needs chain length >= {pos}")
+    return _b_chain(k, "c", "u")
+
+
+def _boolean_order(n: int) -> int:
+    """2^n, once n is a valid exponent of boolean_power."""
+    if n < 1:
+        raise DomainError("boolean power needs n >= 1")
+    if n > BOOLEAN_POWER_CAP:
+        raise DomainError(f"boolean power {n} exceeds cap {BOOLEAN_POWER_CAP}")
+    return 2 ** n
+
+
+def chain_lattice(k: int) -> PoSemiringTable:
+    """The integral chain 0 < c1 < ... < ck < 1 with max addition, min product."""
+    _chain_order(k)
     names = ("0",) + tuple(f"c{i}" for i in range(1, k + 1)) + ("1",)
     return _table_from_ops(names, max, min)
 
 
 def example_2_6(k: int) -> PoSemiringTable:
     """Chain 0 < a < b1 < ... < bk < 1 with a annihilating every b_i."""
-    if k < 1:
-        raise DomainError("need at least one b element (k >= 1)")
-    names = ("0", "a") + tuple(f"b{i}" for i in range(1, k + 1)) + ("1",)
+    names = _b_chain(k, "a")
     n = len(names)
     a, one = 1, n - 1
 
@@ -97,9 +117,7 @@ def example_2_6(k: int) -> PoSemiringTable:
 
 def example_3_2(k: int) -> PoSemiringTable:
     """Same chain as example_2_6 but with min multiplication except a*a = 0."""
-    if k < 1:
-        raise DomainError("need at least one b element (k >= 1)")
-    names = ("0", "a") + tuple(f"b{i}" for i in range(1, k + 1)) + ("1",)
+    names = _b_chain(k, "a")
     a = 1
 
     def mul(x, y):
@@ -112,11 +130,9 @@ def example_3_2(k: int) -> PoSemiringTable:
 
 def example_4_6(k: int, u_square: str) -> PoSemiringTable:
     """Chain 0 < c < u < b1 < ... < bk < 1 with c, u as zero divisors."""
-    if k < 1:
-        raise DomainError("need at least one b element (k >= 1)")
+    names = _b_chain(k, "c", "u")
     if u_square not in ("zero", "c", "u"):
         raise DomainError(f"u_square must be zero/c/u, got {u_square!r}")
-    names = ("0", "c", "u") + tuple(f"b{i}" for i in range(1, k + 1)) + ("1",)
     c, u = 1, 2
     u2 = {"zero": 0, "c": c, "u": u}[u_square]
 
@@ -135,11 +151,7 @@ def example_4_6(k: int, u_square: str) -> PoSemiringTable:
 
 def example_4_7(k: int, pos: int) -> PoSemiringTable:
     """Z(A) = {c, u} with Z(A)^2 = 0, u incomparable to b_1..b_{pos-1}, u < b_pos."""
-    if pos < 2:
-        raise DomainError("threshold position must be > 1")
-    if pos > k:
-        raise DomainError(f"threshold position {pos} needs chain length >= {pos}")
-    names = ("0", "c", "u") + tuple(f"b{i}" for i in range(1, k + 1)) + ("1",)
+    names = _example_4_7_names(k, pos)
     n = len(names)
     c, u, one = 1, 2, n - 1
     b = lambda i: 2 + i       # index of b_i
@@ -176,10 +188,7 @@ def direct_product(A: PoSemiringTable, B: PoSemiringTable) -> PoSemiringTable:
 
 
 def boolean_power(n: int) -> PoSemiringTable:
-    if n < 1:
-        raise DomainError("boolean power needs n >= 1")
-    if n > BOOLEAN_POWER_CAP:
-        raise DomainError(f"boolean power {n} exceeds cap {BOOLEAN_POWER_CAP}")
+    _boolean_order(n)
     A = trivial()
     for _ in range(n - 1):
         A = direct_product(A, trivial())
@@ -453,100 +462,91 @@ def posemiring_zdgraph(A: PoSemiringTable) -> ZdGraph:
 # Construction spec grammar
 
 
-_LEAF_KINDS = {
-    "trivial": (),
-    "chain": ("k",),
-    "example-2.6": ("k",),
-    "example-3.2": ("k",),
-    "example-4.6": ("k", "u2"),
-    "example-4.7": ("k", "n"),
-    "bool": ("n",),
+_LEAVES = {     # kind: (parameters, order, constructor) on the parameters
+    "trivial": ((), lambda: 2, trivial),
+    "chain": (("k",), _chain_order, chain_lattice),
+    "example-2.6": (("k",), lambda k: len(_b_chain(k, "a")), example_2_6),
+    "example-3.2": (("k",), lambda k: len(_b_chain(k, "a")), example_3_2),
+    "example-4.6": (("k", "u2"), lambda k, u2: len(_b_chain(k, "c", "u")),
+                    example_4_6),
+    "example-4.7": (("k", "n"), lambda k, n: len(_example_4_7_names(k, n)),
+                    example_4_7),
+    "bool": (("n",), _boolean_order, boolean_power),
 }
+_ADJOINS = {    # kind: (elements added, constructor)
+    "adjoin-z1": (1, adjoin_z1), "adjoin-z2i": (2, adjoin_z2_incomparable),
+    "adjoin-z2c": (2, adjoin_z2_chain)}
 
 
-def parse_spec(text: str) -> ConstructionSpec:
+def construct_from_text(text: str) -> PoSemiringTable:
+    """The table a spec names, built once _plan has checked the whole spec."""
+    return _plan(text)[1]()
+
+
+def _plan(text: str):
+    """(order, build) for a construction spec, with build() making the table.
+
+    Raises the spec's syntax and parameter errors and each product's or
+    adjoin's order cap left to right, before any table is built; the
+    constructors' checks on their tables and on u2 run in build().
+    """
     text = text.strip()
     m = re.fullmatch(r"(product|adjoin-z1|adjoin-z2i|adjoin-z2c)\((.*)\)", text)
     if m:
-        kind, inner = m.group(1), m.group(2)
-        parts = split_top_level(inner)
+        kind, parts, args = m.group(1), split_top_level(m.group(2)), ()
+        if kind == "adjoin-z2c" and len(parts) > 1 and parts[-1].startswith("u2="):
+            args = (parts.pop()[3:],)
+        parts = _join_params(parts)
         if kind == "product":
             if len(parts) != 2:
                 raise StructureError("product() takes two specs")
-            return ConstructionSpec("product", {},
-                                    tuple(parse_spec(p) for p in parts))
-        if kind == "adjoin-z2c":
-            if len(parts) != 2 or not parts[1].startswith("u2="):
-                raise StructureError("adjoin-z2c(<spec>,u2=c|u)")
-            return ConstructionSpec("adjoin_z2_chain",
-                                    {"u2": parts[1][3:]},
-                                    (parse_spec(parts[0]),))
-        if len(parts) != 1:
-            raise StructureError(f"{kind}() takes one spec")
-        name = "adjoin_z1" if kind == "adjoin-z1" else "adjoin_z2_incomparable"
-        return ConstructionSpec(name, {}, (parse_spec(parts[0]),))
-
+            (na, build_a), (nb, build_b) = _plan(parts[0]), _plan(parts[1])
+            return _capped(na * nb), lambda: direct_product(build_a(), build_b())
+        if len(parts) != 1 or kind == "adjoin-z2c" and not args:
+            raise StructureError("adjoin-z2c(<spec>,u2=c|u)" if kind == "adjoin-z2c"
+                                 else f"{kind}() takes one spec")
+        (n, build), (added, adjoin) = _plan(parts[0]), _ADJOINS[kind]
+        return _capped(n + added), lambda: adjoin(build(), *args)
     head, _, tail = text.partition(":")
-    if head not in _LEAF_KINDS:
+    if head not in _LEAVES:
         raise StructureError(f"unknown construction kind {head!r}")
+    keys, order, build = _LEAVES[head]
     params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if not val:
-                raise StructureError(f"malformed parameter {item!r}")
-            if key in params:
-                raise StructureError(f"{head}: duplicate parameter {key!r}")
-            params[key] = val.strip()
-    missing = set(_LEAF_KINDS[head]) - set(params)
-    extra = set(params) - set(_LEAF_KINDS[head])
+    for item in tail.split(",") if tail else ():
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if not val:
+            raise StructureError(f"malformed parameter {item!r}")
+        if key in params:
+            raise StructureError(f"{head}: duplicate parameter {key!r}")
+        params[key] = val.strip()
+    missing, extra = set(keys) - set(params), set(params) - set(keys)
     if missing or extra:
         raise StructureError(
             f"{head}: missing {sorted(missing)}, unexpected {sorted(extra)}")
-    return ConstructionSpec(head, params)
+    args = [params[k] if k == "u2" else _int_param(k, params[k]) for k in keys]
+    return order(*args), lambda: build(*args)
 
 
-def _int_param(params, key):
+def _join_params(parts: list[str]) -> list[str]:
+    """A bracket's parts, each key=value part joined to the kind:... leaf
+    before it, which split_top_level cut at its own commas."""
+    joined = []
+    for part in parts:
+        if (joined and re.fullmatch(r"[^:()]*=[^:()]*", part)
+                and re.fullmatch(r"[^()]*:[^()]*", joined[-1])):
+            joined[-1] += "," + part
+        else:
+            joined.append(part)
+    return joined
+
+
+def _int_param(key: str, text: str) -> int:
     """An integer parameter; none exceeds the order of the table it builds."""
     try:
-        value = int(params[key])
+        value = int(text)
     except ValueError:
         raise StructureError(f"parameter {key} must be an integer") from None
     if value > ORDER_CAP:
         raise DomainError(f"parameter {key}={value} exceeds cap {ORDER_CAP}")
     return value
-
-
-def construct(spec: ConstructionSpec) -> PoSemiringTable:
-    kind = spec.kind
-    if kind == "trivial":
-        return trivial()
-    if kind == "chain":
-        return chain_lattice(_int_param(spec.params, "k"))
-    if kind == "example-2.6":
-        return example_2_6(_int_param(spec.params, "k"))
-    if kind == "example-3.2":
-        return example_3_2(_int_param(spec.params, "k"))
-    if kind == "example-4.6":
-        u2 = spec.params["u2"]
-        return example_4_6(_int_param(spec.params, "k"), u2)
-    if kind == "example-4.7":
-        return example_4_7(_int_param(spec.params, "k"),
-                           _int_param(spec.params, "n"))
-    if kind == "bool":
-        return boolean_power(_int_param(spec.params, "n"))
-    if kind == "product":
-        return direct_product(construct(spec.children[0]),
-                              construct(spec.children[1]))
-    if kind == "adjoin_z1":
-        return adjoin_z1(construct(spec.children[0]))
-    if kind == "adjoin_z2_incomparable":
-        return adjoin_z2_incomparable(construct(spec.children[0]))
-    if kind == "adjoin_z2_chain":
-        return adjoin_z2_chain(construct(spec.children[0]), spec.params["u2"])
-    raise StructureError(f"unknown construction kind {kind!r}")
-
-
-def construct_from_text(text: str) -> PoSemiringTable:
-    return construct(parse_spec(text))

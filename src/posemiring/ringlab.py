@@ -92,13 +92,11 @@ def _check_ring(R: FiniteRing):
         raise StructureError(min(failures)[1])
 
 
-def _make_ring(order, names, add, mul, one, check=True) -> FiniteRing:
-    R = FiniteRing(order=order, names=tuple(names),
-                   add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)),
-                   one=one)
-    if check:
-        _check_ring(R)
-    return R
+def _make_ring(order, names, add, mul, one) -> FiniteRing:
+    """The ring on these rows, unchecked; parse_ring_file checks a file's."""
+    return FiniteRing(order=order, names=tuple(names),
+                      add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)),
+                      one=one)
 
 
 def _zn_rows(n: int) -> tuple[list[bytes], list[bytes]]:
@@ -120,8 +118,7 @@ def _check_zn_order(n: int):
 def ring_zn(n: int) -> FiniteRing:
     _check_zn_order(n)
     add, mul = _zn_rows(n)
-    return _make_ring(n, map(str, range(n)), add, mul, one=1 % n,
-                      check=False)
+    return _make_ring(n, map(str, range(n)), add, mul, one=1 % n)
 
 
 def _is_prime(p: int) -> bool:
@@ -136,10 +133,11 @@ def _check_zpx_modulus(p: int):
 def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
     """Z_p[x]/(x^2 + c1*x + c0); element a + b*x is index a*p + b.
 
-    The additive group is Z_p x Z_p.  Multiplication by u = a + b*x sends
-    c + d*x to c*u + d*(u*x), where u*x = -b*c0 + (a - b*c1)*x, so u's row
-    joins, for each multiple c*u, the multiples d*(u*x) translated by
-    row c*u of the add table.
+    A quotient of Z_p[x], it is a ring by construction and is not
+    law-checked.  The additive group is Z_p x Z_p.  Multiplication by
+    u = a + b*x sends c + d*x to c*u + d*(u*x), where u*x = -b*c0 +
+    (a - b*c1)*x, so u's row joins, for each multiple c*u, the multiples
+    d*(u*x) translated by row c*u of the add table.
     """
     _check_zpx_modulus(p)
     c1, c0 = c1 % p, c0 % p
@@ -180,8 +178,7 @@ def ring_product(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     _check_product_order(n)
     names = [f"({a},{b})" for a in R.names for b in S.names]
     return _make_ring(n, names, product_rows(R.add, S.add),
-                      product_rows(R.mul, S.mul), one=R.one * S.order + S.one,
-                      check=False)
+                      product_rows(R.mul, S.mul), one=R.one * S.order + S.one)
 
 
 def parse_ring_file(text: str) -> FiniteRing:
@@ -192,8 +189,10 @@ def parse_ring_file(text: str) -> FiniteRing:
         raise StructureError("malformed names line")
     if not 0 <= one < order:
         raise StructureError("identity index out of range")
-    return _make_ring(order, names, _check_matrix(add, order, "add"),
-                      _check_matrix(mul, order, "mul"), one=one)
+    R = _make_ring(order, names, _check_matrix(add, order, "add"),
+                   _check_matrix(mul, order, "mul"), one=one)
+    _check_ring(R)
+    return R
 
 
 def ring_to_text(R: FiniteRing) -> str:

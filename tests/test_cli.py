@@ -162,6 +162,51 @@ class TestConstructAndProduct:
         assert (code, out) == (2, "")
         assert err == f"error: {spec}: {message}\n"
 
+    # one error each; the messages the spec grammar has always given
+    @pytest.mark.parametrize("spec,message", [
+        ("bool:n=9", "boolean power 9 exceeds cap 6"),
+        ("bool:n=0", "boolean power needs n >= 1"),
+        ("bool:n=300", "parameter n=300 exceeds cap 256"),
+        ("chain:k=255", "order 257 exceeds cap 256"),
+        ("chain:k=300", "parameter k=300 exceeds cap 256"),
+        ("chain:k=-1", "chain length must be >= 0"),
+        ("chain:k=two", "parameter k must be an integer"),
+        ("chain:k=1,k=2", "chain: duplicate parameter 'k'"),
+        ("chain:k", "malformed parameter 'k'"),
+        ("chain", "chain: missing ['k'], unexpected []"),
+        ("chain:k=2,extra=1", "chain: missing [], unexpected ['extra']"),
+        ("chain:k=1,", "malformed parameter ''"),
+        ("unknown", "unknown construction kind 'unknown'"),
+        ("nonsense:k=1", "unknown construction kind 'nonsense'"),
+        ("product(trivial)", "product() takes two specs"),
+        ("product(trivial,trivial,trivial)", "product() takes two specs"),
+        ("adjoin-z1(trivial,trivial)", "adjoin-z1() takes one spec"),
+        ("adjoin-z2c(trivial)", "adjoin-z2c(<spec>,u2=c|u)"),
+        ("adjoin-z2c(chain:k=1,u2=x)", "u_square must be c or u, got 'x'"),
+        ("example-4.6:k=1", "example-4.6: missing ['u2'], unexpected []"),
+        ("example-4.6:k=0,u2=c", "need at least one b element (k >= 1)"),
+        ("example-4.6:k=1,u2=x", "u_square must be zero/c/u, got 'x'"),
+        ("example-4.7:k=2,n=3", "threshold position 3 needs chain length >= 3"),
+        ("example-4.7:k=2,n=1", "threshold position must be > 1"),
+        ("example-2.6:k=254", "order 257 exceeds cap 256"),
+        ("product(bool:n=9,trivial)", "boolean power 9 exceeds cap 6"),
+        ("product(trivial,u2=c)", "unknown construction kind 'u2=c'"),
+        ("product(trivial,chain:k=x)", "parameter k must be an integer"),
+        ("product(chain:k=1,)", "unknown construction kind ''"),
+        ("product(chain:k=254,trivial)", "order 512 exceeds cap 256"),
+        ("product(chain:k=200,chain:k=200)", "order 40804 exceeds cap 256"),
+        ("adjoin-z1(chain:k=254)", "order 257 exceeds cap 256"),
+        ("adjoin-z2c(chain:k=253,u2=c)", "order 257 exceeds cap 256"),
+        ("adjoin-z1(bool:n=2)", "base instance is not integral"),
+        ("adjoin-z2i(bool:n=2)", "base instance is not integral"),
+        ("adjoin-z2c(example-4.6:k=1,u2=c)",
+         "example-4.6: missing ['u2'], unexpected []"),
+    ])
+    def test_single_error_spec_messages(self, capsys, spec, message):
+        code, out, err = run(capsys, "construct", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {spec}: {message}\n"
+
     def test_product(self, tmp_path, capsys):
         a = write_psr(tmp_path, "a.psr", cons.trivial())
         code, out, _ = run(capsys, "product", a, "example-3.2:k=1")

@@ -322,8 +322,66 @@ class TestSpecGrammar:
     def test_rejects_repeated_param(self):
         with pytest.raises(StructureError,
                            match=r"^chain: duplicate parameter 'k'$"):
-            cons.parse_spec("chain:k=1,k=2")
+            cons.construct_from_text("chain:k=1,k=2")
 
     def test_rejects_non_integer_param(self):
         with pytest.raises(StructureError):
             cons.construct_from_text("chain:k=two")
+
+
+LEAF_GRID = (
+    ["trivial"]
+    + [f"chain:k={k}" for k in (0, 1, 5)]
+    + [f"example-{x}:k={k}" for x in ("2.6", "3.2") for k in (1, 3)]
+    + [f"example-4.6:k={k},u2={u}" for k in (1, 2) for u in ("zero", "c", "u")]
+    + [f"example-4.7:k={k},n={n}" for k in (2, 4) for n in range(2, k + 1)]
+    + [f"bool:n={n}" for n in (1, 2, 3)])
+
+
+class TestSpecPlan:
+    """_plan gives a spec's order before any table is built."""
+
+    @pytest.mark.parametrize("spec", LEAF_GRID + [
+        "product(chain:k=2,bool:n=2)",
+        "product(trivial,example-4.6:k=1,u2=c)",
+        "product(example-4.7:k=3,n=2,example-2.6:k=1)",
+        "product(product(trivial,trivial),adjoin-z2i(chain:k=1))",
+        "adjoin-z1(chain:k=3)",
+        "adjoin-z2c(chain:k=1,u2=u)",
+        "product(adjoin-z1(chain:k=2),adjoin-z2c(chain:k=1,u2=c))",
+    ])
+    def test_planned_order_is_built_order(self, spec):
+        order, build = cons._plan(spec)
+        assert order == build().order == cons.construct_from_text(spec).order
+
+    @pytest.mark.parametrize("spec,order", [
+        ("product(chain:k=200,chain:k=200)", 40804),
+        ("product(chain:k=254,trivial)", 512),
+        ("adjoin-z1(chain:k=254)", 257),
+    ])
+    def test_over_cap_builds_no_table(self, monkeypatch, spec, order):
+        verified = []
+        verify = cons.verify_axioms
+        monkeypatch.setattr(cons, "verify_axioms",
+                            lambda A: verified.append(A.order) or verify(A))
+        with pytest.raises(DomainError,
+                           match=rf"^order {order} exceeds cap 256$"):
+            cons.construct_from_text(spec)
+        assert verified == []
+        cons.construct_from_text("product(chain:k=1,trivial)")
+        assert verified == [3, 2, 6]
+
+    def test_multi_parameter_leaves_compose(self):
+        assert cons.construct_from_text(
+            "product(trivial,example-4.6:k=1,u2=c)") == cons.direct_product(
+                cons.trivial(), cons.example_4_6(1, "c"))
+        assert cons.construct_from_text(
+            "product(example-4.7:k=2,n=2,trivial)") == cons.direct_product(
+                cons.example_4_7(2, 2), cons.trivial())
+
+    def test_adjoin_z2c_takes_its_own_u2_last(self):
+        # the leaf keeps u2=zero; the adjoin's u2=c is the last part
+        with pytest.raises(DomainError,
+                           match=r"^base instance is not integral$"):
+            cons.construct_from_text(
+                "adjoin-z2c(example-4.6:k=1,u2=zero,u2=c)")
