@@ -301,6 +301,12 @@ def cmd_theorems(args):
     corpus = _theorem_corpus(args.corpus)
     check_ids = None if args.check == "all" else args.check.split(",")
     report = harness.run_catalog(corpus, check_ids)
+    if check_ids is not None:
+        ran = {cid for cid, _, _ in report.results}
+        idle = [cid for cid in dict.fromkeys(check_ids) if cid not in ran]
+        if idle:
+            raise CliError(f"corpus {args.corpus} has no instance in the "
+                           f"scope of {', '.join(idle)}")
     if args.report == "json" or args.json:
         print(report.to_json())
     else:

@@ -494,8 +494,10 @@ def _plan(text: str):
     m = re.fullmatch(r"(product|adjoin-z1|adjoin-z2i|adjoin-z2c)\((.*)\)", text)
     if m:
         kind, parts, args = m.group(1), split_top_level(m.group(2)), ()
-        if kind == "adjoin-z2c" and len(parts) > 1 and parts[-1].startswith("u2="):
-            args = (parts.pop()[3:],)
+        key, eq, val = parts[-1].partition("=")
+        if kind == "adjoin-z2c" and len(parts) > 1 and eq and key.strip() == "u2":
+            parts.pop()
+            args = (val.strip(),)
         parts = _join_params(parts)
         if kind == "product":
             if len(parts) != 2:

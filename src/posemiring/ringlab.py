@@ -49,6 +49,11 @@ class FiniteRing:
         """All ideals, enumerated once; every ideal query reads this."""
         return enumerate_ring_ideals(self)
 
+    @cached_property
+    def maximal_ideals(self) -> tuple[Ideal, ...]:
+        """The maximal ideals, found once by the module's maximal_ideals."""
+        return maximal_ideals(self)
+
     def __repr__(self):
         return f"FiniteRing(order={self.order})"
 
@@ -383,15 +388,17 @@ def nilpotents(R: FiniteRing) -> frozenset[int]:
     return frozenset(x for x, v in enumerate(power) if v == 0)
 
 
-def maximal_ideals(R: FiniteRing) -> list[Ideal]:
+def maximal_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
+    """The proper ideals below no other; callers read the cached
+    ``R.maximal_ideals`` instead of scanning again."""
     proper = [i for i in R.ideals if len(i.members) < R.order]
-    return [i for i in proper
-            if not any(i.members < j.members for j in proper)]
+    return tuple(i for i in proper
+                 if not any(i.members < j.members for j in proper))
 
 
 def radicals(R: FiniteRing) -> RadicalReport:
     nil = nilpotents(R)
-    jac = frozenset.intersection(*(m.members for m in maximal_ideals(R)))
+    jac = frozenset.intersection(*(m.members for m in R.maximal_ideals))
     idem = frozenset(x for x in R.elements() if R.mul[x][x] == x)
     ideal = {i.members: i for i in R.ideals}       # N and J are ideals of R
     return RadicalReport(nilradical=ideal[nil], jacobson=ideal[jac],
@@ -399,4 +406,4 @@ def radicals(R: FiniteRing) -> RadicalReport:
 
 
 def is_local(R: FiniteRing) -> bool:
-    return len(maximal_ideals(R)) == 1
+    return len(R.maximal_ideals) == 1

@@ -394,6 +394,26 @@ class TestTheorems:
         code, _, err = run(capsys, "theorems", "--corpus", spec)
         assert (code, err) == (2, f"error: bad corpus spec {spec!r}\n")
 
+    @pytest.mark.parametrize("corpus,checks,idle", [
+        ("census:3", "C2.5", "C2.5"),
+        ("rings:default", "L3.3a", "L3.3a"),
+        ("rings:default", "C2.5,L3.3a,T2.2,L3.3a", "L3.3a, T2.2"),
+    ])
+    def test_check_with_no_instance_in_scope_exit_2(self, capsys, corpus,
+                                                    checks, idle):
+        # a check that ran nowhere must not read as a pass
+        code, out, err = run(capsys, "theorems", "--corpus", corpus,
+                             "--check", checks)
+        assert (code, out) == (2, "")
+        assert err == (f"error: corpus {corpus} has no instance in the "
+                       f"scope of {idle}\n")
+
+    def test_check_all_runs_whatever_is_in_scope(self, capsys):
+        code, out, _ = run(capsys, "theorems", "--corpus", "rings:default",
+                           "--check", "all")
+        assert code == 0
+        assert out.splitlines()[-1] == "pass=668 fail=0 na=0"
+
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(capsys, "theorems", "--corpus", "census:2",
                            "--check", "bogus")

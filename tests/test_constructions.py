@@ -379,6 +379,13 @@ class TestSpecPlan:
             "product(example-4.7:k=2,n=2,trivial)") == cons.direct_product(
                 cons.example_4_7(2, 2), cons.trivial())
 
+    def test_adjoin_z2c_u2_strips_spaces_like_leaf_parameters(self):
+        want = cons.construct_from_text("adjoin-z2c(chain:k=1,u2=c)")
+        for spec in ("adjoin-z2c(chain:k=1,u2 =c)",
+                     "adjoin-z2c(chain:k=1,u2= c)",
+                     "adjoin-z2c(chain:k =1, u2 = c )"):
+            assert cons.construct_from_text(spec) == want, spec
+
     def test_adjoin_z2c_takes_its_own_u2_last(self):
         # the leaf keeps u2=zero; the adjoin's u2=c is the last part
         with pytest.raises(DomainError,

@@ -24,6 +24,12 @@ def results_for(report, check_id, instance_id=None):
             if cid == check_id and (instance_id is None or iid == instance_id)]
 
 
+def verdict(check_id, *ctxs):
+    """The catalog's verdict for one check: hypotheses first, then the check."""
+    ((_, _, res),) = harness._run([harness._BY_ID[check_id]], "", *ctxs)
+    return res
+
+
 class TestCatalogStructure:
     def test_check_ids_unique(self):
         assert len(set(harness.CHECK_IDS)) == len(harness.CHECK_IDS)
@@ -81,6 +87,47 @@ class TestNotApplicableDiscipline:
                 assert by_id[iid].status == "not-applicable"
 
 
+class TestHypothesesAsData:
+    """Each check's hypotheses are catalog data, tested by the runner."""
+
+    def test_na_exactly_when_a_declared_hypothesis_fails(self):
+        corpus = harness.census_corpus(6)
+        corpus.posemirings += harness.construction_grid().posemirings
+        corpus.posemirings += [(f"I({iid})", ringlab.ideal_semiring(R)[0])
+                               for iid, R in harness.default_ring_corpus()]
+        corpus.pairs = harness.census_pairs(3)
+        corpus.rings = harness.default_ring_corpus()
+        rows = {(cid, iid): res
+                for cid, iid, res in harness.run_catalog(corpus).results}
+        instances = [("posemiring", iid, (harness.Ctx(A),))
+                     for iid, A in corpus.posemirings]
+        instances += [("product-pair", iid, (
+            harness.Ctx(a), harness.Ctx(b),
+            harness.Ctx(cons.direct_product(a, b))))
+            for iid, a, b in corpus.pairs]
+        instances += [("ring", iid, (harness.RingCtx(R),))
+                      for iid, R in corpus.rings]
+        outcomes = Counter()
+        for scope, iid, ctxs in instances:
+            for check in harness.CATALOG:
+                if check.scope != scope:
+                    continue
+                res = rows.pop((check.id, iid))
+                failing = [note for holds, note in check.hypotheses
+                           if not holds(*ctxs)]
+                if failing:
+                    # the note is that of the first hypothesis that fails
+                    assert res == harness._na(failing[0]), (check.id, iid)
+                else:
+                    # so no check returns n/a once its hypotheses hold
+                    assert res.status != "not-applicable", (check.id, iid)
+                outcomes[scope, res.status] += 1
+        assert rows == {}
+        assert outcomes["posemiring", "not-applicable"] > 0
+        assert outcomes["product-pair", "not-applicable"] > 0
+        assert outcomes["ring", "pass"] > 0
+
+
 class TestFiniteCaseAnnotation:
     def test_note_attached_on_pass(self):
         corpus = single_instance_corpus("b2", cons.boolean_power(2))
@@ -117,13 +164,12 @@ class TestSharedAnalysis:
                             counting(core.analyze_elements))
         applied = Counter()
         for ctx in ctxs:
-            for chk in (harness.chk_t35b, harness.chk_t42, harness.chk_p45,
-                        harness.chk_p48):
+            for cid in ("T3.5b", "T4.2", "P4.5", "P4.8"):
                 calls.clear()
-                res = chk(ctx)
+                res = verdict(cid, ctx)
                 assert res.status != "fail"
                 assert calls == []
-                applied[chk.__name__] += res.status == "pass"
+                applied[cid] += res.status == "pass"
         assert min(applied.values()) > 0
 
     def test_conditions_computed_once_per_instance(self, monkeypatch):
@@ -265,14 +311,13 @@ class TestFailureDetection:
         # instead, feed a wrong assertion through a doctored check on a real
         # instance: L4.1a must fail if we lie about the zero-divisor count.
         A = cons.adjoin_z1(cons.chain_lattice(1))
-        ctx = harness.Ctx(A)
-        res = harness.chk_l41a(ctx)
+        res = verdict("L4.1a", harness.Ctx(A))
         assert res.status == "pass"
         # break the instance: make c^2 = c so the nilpotency claim fails
         mul = [list(r) for r in A.mul]
         mul[1][1] = 1
         B = make_table(A.order, A.names, A.add, mul)
-        res = harness.chk_l41a(harness.Ctx(B))
+        res = verdict("L4.1a", harness.Ctx(B))
         assert res.status in ("fail", "not-applicable")
 
 
@@ -439,7 +484,7 @@ class TestRingCorollaries:
             rctx = harness.RingCtx(R)
             table, ideals = ringlab.ideal_semiring(R)
             maximal = {ideals[m].members for m in rctx.ctx.ana.maximals}
-            assert maximal == {m.members for m in rctx.maximal_ideals}, iid
+            assert maximal == {m.members for m in R.maximal_ideals}, iid
 
     def test_one_ideal_enumeration_per_ring(self, monkeypatch):
         calls = []

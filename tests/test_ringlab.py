@@ -342,6 +342,17 @@ class TestIdealCache:
         assert calls == [R]
         assert isinstance(R.ideals, tuple)
 
+    def test_maximal_ideals_found_once(self, monkeypatch):
+        calls = []
+        maximal_ideals = ringlab.maximal_ideals
+        monkeypatch.setattr(ringlab, "maximal_ideals",
+                            lambda R: calls.append(R) or maximal_ideals(R))
+        R = ringlab.ring_zn(12)
+        ringlab.radicals(R)
+        ringlab.is_local(R)
+        assert calls == [R]
+        assert R.maximal_ideals == maximal_ideals(R)
+
     def test_principal_ideals_name_their_least_generator(self):
         R = ringlab.ring_zn(12)
         assert [i.generators for i in R.ideals] == [(0,), (6,), (4,), (3,),
