@@ -1,6 +1,6 @@
 """Isomorph-free exhaustive generation of small po-semirings.
 
-Fast mode enumerates bounded join-semilattice addition tables, labelled so
+The census enumerates bounded join-semilattice addition tables, labelled so
 that (down-set size, up-set size) never decreases (every lattice has such a
 labelling, so no isomorphism class is lost), and keeps the first labelled
 lattice of each class with the permutations taking it to its canonical key.
@@ -10,8 +10,7 @@ labels are a linear extension, so commutativity picks a row's candidates by
 the slice of its column over the rows placed before it, associativity is
 checked as composition of rows, and forward checking drops a partial table
 as soon as a later row has no candidate left.  Each flat table is keyed
-over those permutations.  A naive table-pair sweep serves as an independent
-oracle at small orders.
+over those permutations.
 """
 
 from __future__ import annotations
@@ -24,18 +23,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
-    ByteTable,
     DomainError,
     PoSemiringTable,
-    associative_witness,
     lower_covers,
-    make_table,
     order_index,
-    verify_axioms,
+    verify_axioms,  # not called here: perfbench/spans.py times it by this name
 )
 
 FAST_CAP = 9
-NAIVE_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class CensusResult:
     count_labeled: int
     instances: tuple[PoSemiringTable, ...]
     seconds: float
-    mode: str
 
 
 def _generic_names(n: int) -> tuple[str, ...]:
@@ -104,10 +98,6 @@ def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
     rows = [tuple(zip(*[iter(key)] * n)) for key in keys]
     return [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
             for r in rows]
-
-
-# ---------------------------------------------------------------------------
-# Fast mode
 
 
 def _linear_posets(n: int, below=(frozenset(),)):
@@ -346,69 +336,11 @@ def _fast_census(n: int):
     return reps, labeled
 
 
-# ---------------------------------------------------------------------------
-# Naive oracle
-
-
-def _naive_census(n: int):
-    """Sweep all interior cell assignments and filter by verify_axioms.
-
-    Cells forced by the identity, top, and absorption axioms are fixed up
-    front, and so is the add diagonal: x + x = x(1 + 1) = x by distributivity
-    (pure filtering).  Everything else is brute force; each table must be
-    associative on its own before the pairs are formed and checked.
-    """
-    one = n - 1
-
-    def tables(fixed):
-        base = [[fixed(x, y) for y in range(n)] for x in range(n)]
-        free = [(x, y) for x in range(n) for y in range(x, n)
-                if base[x][y] is None]
-        for values in itertools.product(range(n), repeat=len(free)):
-            tab = [row[:] for row in base]
-            for (x, y), v in zip(free, values):
-                tab[x][y] = tab[y][x] = v
-            if associative_witness(ByteTable(tab)) is None:
-                yield tab
-
-    def add_fixed(x, y):
-        if x == 0:
-            return y
-        if y == 0:
-            return x
-        if x == one or y == one:
-            return one
-        return x if x == y else None
-
-    def mul_fixed(x, y):
-        if x == 0 or y == 0:
-            return 0
-        if x == one:
-            return y
-        if y == one:
-            return x
-        return None
-
-    keys = set()
-    labeled = 0
-    muls = list(tables(mul_fixed))
-    for add in tables(add_fixed):
-        for mul in muls:
-            A = make_table(n, _generic_names(n), add, mul)
-            if verify_axioms(A).valid:
-                labeled += 1
-                keys.add(canonical_form(A))
-    return tables_from_canonical(n, sorted(keys)), labeled
-
-
-def enumerate_posemirings(n: int, mode: str = "fast") -> CensusResult:
-    cap = FAST_CAP if mode == "fast" else NAIVE_CAP
-    if mode not in ("fast", "naive"):
-        raise DomainError(f"unknown census mode {mode!r}")
-    if not 2 <= n <= cap:
-        raise DomainError(f"order {n} outside [2, {cap}] for mode {mode}")
+def enumerate_posemirings(n: int) -> CensusResult:
+    if not 2 <= n <= FAST_CAP:
+        raise DomainError(f"order {n} outside [2, {FAST_CAP}]")
     start = time.perf_counter()
-    reps, labeled = _fast_census(n) if mode == "fast" else _naive_census(n)
+    reps, labeled = _fast_census(n)
     return CensusResult(order=n, count_up_to_iso=len(reps),
                         count_labeled=labeled, instances=tuple(reps),
-                        seconds=time.perf_counter() - start, mode=mode)
+                        seconds=time.perf_counter() - start)

@@ -206,7 +206,7 @@ def cmd_iso(args):
 
 
 def cmd_enumerate(args):
-    result = census_mod.enumerate_posemirings(args.order, mode=args.mode)
+    result = census_mod.enumerate_posemirings(args.order)
     if args.emit_dir:
         os.makedirs(args.emit_dir, exist_ok=True)
         for A in result.instances:
@@ -220,7 +220,7 @@ def cmd_enumerate(args):
                f"labeled={result.count_labeled} seconds={result.seconds:.3f}")
     payload = {"order": result.order, "classes": result.count_up_to_iso,
                "labeled": result.count_labeled,
-               "seconds": round(result.seconds, 3), "mode": result.mode}
+               "seconds": round(result.seconds, 3)}
     _emit(payload, args.json, [summary])
     return 0
 
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, help="census of a given order")
     p.add_argument("order", type=int)
-    p.add_argument("--mode", choices=("fast", "naive"), default="fast")
     p.add_argument("--emit-dir", metavar="DIR",
                    help="write one psr file per isomorphism class")
 

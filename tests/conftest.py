@@ -5,8 +5,8 @@ from posemiring.census import enumerate_posemirings
 
 @pytest.fixture(scope="session")
 def census():
-    """Fast-mode census results for orders 2..5, shared across the suite."""
-    return {n: enumerate_posemirings(n, mode="fast") for n in range(2, 6)}
+    """Census results for orders 2..5, shared across the suite."""
+    return {n: enumerate_posemirings(n) for n in range(2, 6)}
 
 
 @pytest.fixture(scope="session")

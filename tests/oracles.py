@@ -6,7 +6,9 @@ The law checks walk every pair or triple in the loop order that defines
 which witness or message comes first; the keys try every permutation in
 full, or build each relabelled row cell by cell; the lattices are labelled
 by every linear extension, and Burnside's lemma over their automorphisms
-counts the census without keys; the multiplication
+counts the census without keys; the naive census sweeps every
+pair of associative add and mul tables and keys the valid ones with the
+keys here; the residuum joins every z with xz <= y; the multiplication
 search fills one cell at a time, and the row search's flat output is read
 as rows and pinned by a digest; the classes with every element idempotent
 are checked against the lattice meet; graphs are built by a scan of every
@@ -381,6 +383,93 @@ def heyting_count(n):
             assert A.mul == meet_table(A.add), A
             count += 1
     return count
+
+
+def _swept_tables(n, fixed):
+    """Every commutative table on 0..n-1 with the cells fixed(x, y) (None
+    for a free cell) and associative by a triple loop, as lists of rows."""
+    tab = [[fixed(x, y) for y in range(n)] for x in range(n)]
+    free = [(x, y) for x in range(n) for y in range(x, n)
+            if tab[x][y] is None]
+    r = range(n)
+    for values in itertools.product(r, repeat=len(free)):
+        for (x, y), v in zip(free, values):
+            tab[x][y] = tab[y][x] = v
+        if all(tab[tab[x][y]][z] == tab[x][tab[y][z]]
+               for x in r for y in r for z in r):
+            yield [row[:] for row in tab]
+
+
+def naive_census(n):
+    """(keys, labelled) of the order-n census by a table-pair sweep, with no
+    census code: keys is the set of canonical_form keys of its classes.
+
+    Cells forced by the identity, top and absorption axioms are fixed, and
+    so is the add diagonal: x + x = x(1 + 1) = x by distributivity.  Every
+    associative add and mul table on the other cells is swept, and each
+    pair passing verify_axioms is one labelled table."""
+    one = n - 1
+
+    def add_fixed(x, y):
+        if x == 0 or y == 0:
+            return x + y
+        if one in (x, y):
+            return one
+        return x if x == y else None
+
+    def mul_fixed(x, y):
+        if x == 0 or y == 0:
+            return 0
+        if x == one:
+            return y
+        return x if y == one else None
+
+    names = ["0", *(f"x{i}" for i in range(1, one)), "1"]
+    muls = list(_swept_tables(n, mul_fixed))
+    keys, labelled = set(), 0
+    for add in _swept_tables(n, add_fixed):
+        for mul in muls:
+            A = make_table(n, names, add, mul)
+            if verify_axioms(A).valid:
+                labelled += 1
+                keys.add(canonical_form(A))
+    return keys, labelled
+
+
+def residuum(A):
+    """x -> y, the join of every z with xz <= y, as a tuple of rows; each
+    x(x -> y) <= y is checked, so it is the largest such z."""
+    n, add, mul = A.order, A.add, A.mul
+    rows = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            v = 0
+            for z in range(n):
+                if add[mul[x][z]][y] == y:
+                    v = add[v][z]
+            assert add[mul[x][v]][y] == y, (A, x, y)
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def residuated_counts(n):
+    """(MV-algebras, BL-chains) among the order-n census classes, read as
+    residuated lattices through residuum: the MV-algebras are the classes
+    with (x -> y) -> y = x + y, one per factorization of n (OEIS A001055);
+    the BL-chains are the chains with x(x -> y) = min(x, y), one per
+    composition of n - 1 into the orders of their MV-chain summands."""
+    r = range(n)
+    mv = bl = 0
+    for A in census.enumerate_posemirings(n).instances:
+        add, mul = A.add, A.mul
+        imp = residuum(A)
+        mv += all(imp[imp[x][y]][y] == add[x][y] for x in r for y in r)
+        if all(add[x][y] in (x, y) for x in r for y in r):
+            bl += all(mul[x][imp[x][y]] == (x if add[x][y] == y else y)
+                      for x in r for y in r)
+    return mv, bl
 
 
 def mul_backtrack(n, add):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import random
@@ -93,25 +94,28 @@ class TestCounts:
         for A, B in itertools.combinations(insts, 2):
             assert find_isomorphism(A, B) is None
 
-    def test_naive_agrees_with_fast(self):
+    def test_naive_agrees_with_fast(self, census):
+        # the oracle sweep shares no code with the census or its keys
         for n in (2, 3, 4, 5):
-            fast = enumerate_posemirings(n, mode="fast")
-            naive = enumerate_posemirings(n, mode="naive")
-            assert fast.count_up_to_iso == naive.count_up_to_iso
-            assert fast.count_labeled == naive.count_labeled
-            fast_keys = {oracles.canonical_form(A) for A in fast.instances}
-            naive_keys = {oracles.canonical_form(A) for A in naive.instances}
-            assert fast_keys == naive_keys
+            keys, labelled = oracles.naive_census(n)
+            assert census[n].count_up_to_iso == len(keys)
+            assert census[n].count_labeled == labelled
+            assert {oracles.canonical_form(A)
+                    for A in census[n].instances} == keys
 
     def test_caps(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^order 1 outside \[2, 9\]$"):
             enumerate_posemirings(1)
-        with pytest.raises(DomainError):
-            enumerate_posemirings(10, mode="fast")
-        with pytest.raises(DomainError):
-            enumerate_posemirings(6, mode="naive")
-        with pytest.raises(DomainError):
-            enumerate_posemirings(3, mode="exhaustive")
+        with pytest.raises(DomainError, match=r"^order 10 outside \[2, 9\]$"):
+            enumerate_posemirings(10)
+        assert list(inspect.signature(enumerate_posemirings).parameters) == [
+            "n"]
+
+    def test_residuated_lattice_counts(self):
+        # MV-algebras: one per factorization of n, OEIS A001055; BL-chains:
+        # one per composition of n - 1, 2^(n-2)
+        assert [oracles.residuated_counts(n) for n in range(2, 9)] == list(
+            zip([1, 1, 2, 1, 2, 1, 3], [2 ** (n - 2) for n in range(2, 9)]))
 
 
 class TestLattices:

@@ -272,10 +272,17 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "4", "--json")
         data = json.loads(out)
         assert data["classes"] == 7 and data["labeled"] == 13
+        assert sorted(data) == ["classes", "labeled", "order", "seconds"]
 
     def test_out_of_range_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "10")
         assert code == 2
+        assert err == "error: order 10 outside [2, 9]\n"
+
+    def test_mode_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "4", "--mode", "naive"])
+        assert exc.value.code == 2
 
 
 class TestRing:

@@ -413,7 +413,7 @@ class TestGraphMetricsOnDemand:
 
     def test_acyclic_is_oracle_girth_none(self):
         for n in range(2, 8):
-            for A in enumerate_posemirings(n, mode="fast").instances:
+            for A in enumerate_posemirings(n).instances:
                 ctx = harness.Ctx(A)
                 assert ctx.acyclic == (
                     oracles.graph_metrics(ctx.graph).girth is None), A
@@ -441,9 +441,9 @@ class TestCorpusBuilders:
         calls = []
         enumerate_fast = census.enumerate_posemirings
 
-        def counting(n, mode="fast"):
+        def counting(n):
             calls.append(n)
-            return enumerate_fast(n, mode)
+            return enumerate_fast(n)
 
         monkeypatch.setattr(census, "enumerate_posemirings", counting)
         for n in (2, 3, 5):
