@@ -276,7 +276,7 @@ def _theorem_corpus(spec: str) -> harness.Corpus:
         if not 2 <= max_n <= census_mod.FAST_CAP:
             raise CliError(f"{spec}: census order must be in "
                            f"[2, {census_mod.FAST_CAP}], got {max_n}")
-        return harness.full_corpus(max_n, min(max_n, 3))
+        return harness.full_corpus(max_n)
     if spec.startswith("files:"):
         directory = spec[len("files:"):]
         if not directory:

@@ -254,59 +254,6 @@ def distributive_witness(add: ByteTable, mul: ByteTable):
     return None if i is None else _triple(i, add.n)
 
 
-def replay_violation(A: PoSemiringTable, axiom: str, witness: tuple[int, ...]) -> bool:
-    """True when the witness still exhibits the recorded axiom violation."""
-    add, mul, one = A.add, A.mul, A.one
-    if axiom == "add-commutative":
-        x, y = witness
-        return add[x][y] != add[y][x]
-    if axiom == "add-associative":
-        x, y, z = witness
-        return add[add[x][y]][z] != add[x][add[y][z]]
-    if axiom == "add-identity":
-        return add[0][witness[0]] != witness[0]
-    if axiom == "one-is-top":
-        return add[one][witness[0]] != one
-    if axiom == "mul-commutative":
-        x, y = witness
-        return mul[x][y] != mul[y][x]
-    if axiom == "mul-associative":
-        x, y, z = witness
-        return mul[mul[x][y]][z] != mul[x][mul[y][z]]
-    if axiom == "mul-identity":
-        return mul[one][witness[0]] != witness[0]
-    if axiom == "zero-absorbs":
-        return mul[0][witness[0]] != 0
-    if axiom == "distributive":
-        x, y, z = witness
-        return mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
-    raise DomainError(f"unknown axiom id {axiom!r}")
-
-
-def derived_checks(A: PoSemiringTable) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Redundant consequences of the axioms, re-checked directly.
-
-    Empty for every valid instance: idempotent addition, the add-derived
-    relation being a partial order, and products being lower bounds.
-    """
-    n, add, mul = A.order, A.add, A.mul
-    bad = []
-    for x in range(n):
-        if add[x][x] != x:
-            bad.append(("add-idempotent", (x,)))
-    for x in range(n):
-        for y in range(n):
-            if A.leq(x, y) and A.leq(y, x) and x != y:
-                bad.append(("order-antisymmetric", (x, y)))
-            for z in range(n):
-                if A.leq(x, y) and A.leq(y, z) and not A.leq(x, z):
-                    bad.append(("order-transitive", (x, y, z)))
-            p = mul[x][y]
-            if not (A.leq(p, x) and A.leq(p, y)):
-                bad.append(("product-lower-bound", (x, y)))
-    return tuple(bad)
-
-
 # ---------------------------------------------------------------------------
 # Element analysis
 
@@ -795,7 +742,8 @@ def split_top_level(inner: str) -> list[str]:
     """Split a spec's argument text at commas outside brackets.
 
     Every nesting level of a spec adds at least one element, so text nested
-    deeper than ORDER_CAP is rejected here, before any recursion on it.
+    deeper than ORDER_CAP is rejected here, before any recursion on it, and
+    so is text whose brackets do not pair up.
     """
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(inner):
@@ -805,8 +753,12 @@ def split_top_level(inner: str) -> list[str]:
                 raise StructureError(f"spec nested deeper than {ORDER_CAP}")
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                raise StructureError("unbalanced brackets")
         elif ch == "," and depth == 0:
             parts.append(inner[start:i].strip())
             start = i + 1
+    if depth:
+        raise StructureError("unbalanced brackets")
     parts.append(inner[start:].strip())
     return parts

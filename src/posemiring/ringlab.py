@@ -25,7 +25,6 @@ from .core import (
     row_witness,
     split_top_level,
     verify_axioms,
-    write_table_text,
 )
 from .graphs import GraphShape, build_zdgraph, classify_shape
 
@@ -200,21 +199,16 @@ def parse_ring_file(text: str) -> FiniteRing:
     return R
 
 
-def ring_to_text(R: FiniteRing) -> str:
-    return write_table_text("ring 1", {"order": R.order, "one": R.one},
-                            R.names, R.add, R.mul)
-
-
-def make_ring(spec: str, read_file=None) -> FiniteRing:
+def make_ring(spec: str) -> FiniteRing:
     """Ring construction grammar: zn:N, zpx:p:c1:c0, prod(a,b), file:path.
 
     The whole spec is checked before any table is built, so a product over
     the order cap fails without building its factors.
     """
-    return _ring_plan(spec, read_file)[1]()
+    return _ring_plan(spec)[1]()
 
 
-def _ring_plan(spec: str, read_file):
+def _ring_plan(spec: str):
     """(order, build) for a ring spec, with build() making the ring.
 
     Raises every error of the spec in the order building it would meet
@@ -227,8 +221,8 @@ def _ring_plan(spec: str, read_file):
         parts = split_top_level(m.group(1))
         if len(parts) != 2:
             raise StructureError("prod() takes two specs")
-        na, build_a = _ring_plan(parts[0], read_file)
-        nb, build_b = _ring_plan(parts[1], read_file)
+        na, build_a = _ring_plan(parts[0])
+        nb, build_b = _ring_plan(parts[1])
         _check_product_order(na * nb)
         return na * nb, lambda: ring_product(build_a(), build_b())
     if spec.startswith("zn:"):
@@ -250,16 +244,15 @@ def _ring_plan(spec: str, read_file):
         return p * p, lambda: ring_quadratic(p, c1, c0)
     if spec.startswith("file:"):
         path = spec[5:]
-        if read_file is None:
-            with open(path, encoding="utf-8") as fh:
-                try:
-                    text = fh.read()
-                except UnicodeDecodeError as exc:
-                    raise StructureError(
-                        f"{path}: not UTF-8 text ({exc.reason} at byte "
-                        f"{exc.start})") from exc
-        else:
-            text = read_file(path)
+        if not path:
+            raise StructureError(f"bad file spec {spec!r}")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise StructureError(
+                    f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from exc
         R = parse_ring_file(text)
         return R.order, lambda: R
     raise StructureError(f"unknown ring spec {spec!r}")

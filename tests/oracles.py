@@ -3,17 +3,21 @@ the ring ideal layer, the orthogonal-idempotent index and the down-set
 index.
 
 The law checks walk every pair or triple in the loop order that defines
-which witness or message comes first; the keys try every permutation in
+which witness or message comes first; a reported witness is replayed on
+the cells it names, and the order laws the axioms imply are re-checked
+through A.leq; the keys try every permutation in
 full, or build each relabelled row cell by cell; the lattices are labelled
 by every linear extension, and Burnside's lemma over their automorphisms
-counts the census without keys; the naive census sweeps every
+counts the census without keys; the Section 4 counts read Z(A) off each
+class's mul rows; the naive census sweeps every
 pair of associative add and mul tables and keys the valid ones with the
 keys here; the residuum joins every z with xz <= y; the multiplication
 search fills one cell at a time, and the row search's flat output is read
 as rows and pinned by a digest; the classes with every element idempotent
 are checked against the lattice meet; graphs are built by a scan of every
 cell, and their metrics and shapes enumerate vertex subsets and
-bipartitions; ring tables are filled cell by cell,
+bipartitions; ring tables are filled cell by cell, and written out
+for the ring-file parser,
 ideal sums and products take every pair of members, the least ideal
 containing a set is a fixpoint of sums and products, and nilpotency takes
 every power; complements, primitive idempotents, (C1)-(C3) and primitive
@@ -31,12 +35,14 @@ from posemiring.census import _join_table, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
     ConditionReport,
+    DomainError,
     ElementAnalysis,
     IdealSubset,
     StructureError,
     is_idempotent,
     is_prime_ideal,
     make_table,
+    write_table_text,
 )
 from posemiring.graphs import GraphMetrics, GraphShape
 
@@ -69,6 +75,65 @@ def verify_axioms(A) -> AxiomReport:
                            for z in range(n)
                            if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]))
     return AxiomReport(valid=not violations, violations=tuple(violations))
+
+
+def replay_violation(A, axiom, witness) -> bool:
+    """True when the witness still exhibits the recorded axiom violation."""
+    add, mul, one = A.add, A.mul, A.one
+    if axiom == "add-commutative":
+        x, y = witness
+        return add[x][y] != add[y][x]
+    if axiom == "add-associative":
+        x, y, z = witness
+        return add[add[x][y]][z] != add[x][add[y][z]]
+    if axiom == "add-identity":
+        return add[0][witness[0]] != witness[0]
+    if axiom == "one-is-top":
+        return add[one][witness[0]] != one
+    if axiom == "mul-commutative":
+        x, y = witness
+        return mul[x][y] != mul[y][x]
+    if axiom == "mul-associative":
+        x, y, z = witness
+        return mul[mul[x][y]][z] != mul[x][mul[y][z]]
+    if axiom == "mul-identity":
+        return mul[one][witness[0]] != witness[0]
+    if axiom == "zero-absorbs":
+        return mul[0][witness[0]] != 0
+    if axiom == "distributive":
+        x, y, z = witness
+        return mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
+    raise DomainError(f"unknown axiom id {axiom!r}")
+
+
+def derived_checks(A):
+    """Redundant consequences of the axioms, re-checked directly.
+
+    Empty for every valid instance: idempotent addition, the add-derived
+    relation being a partial order, and products being lower bounds.
+    """
+    n, add, mul = A.order, A.add, A.mul
+    bad = []
+    for x in range(n):
+        if add[x][x] != x:
+            bad.append(("add-idempotent", (x,)))
+    for x in range(n):
+        for y in range(n):
+            if A.leq(x, y) and A.leq(y, x) and x != y:
+                bad.append(("order-antisymmetric", (x, y)))
+            for z in range(n):
+                if A.leq(x, y) and A.leq(y, z) and not A.leq(x, z):
+                    bad.append(("order-transitive", (x, y, z)))
+            p = mul[x][y]
+            if not (A.leq(p, x) and A.leq(p, y)):
+                bad.append(("product-lower-bound", (x, y)))
+    return tuple(bad)
+
+
+def ring_to_text(R) -> str:
+    """The ring file ringlab.parse_ring_file reads for R."""
+    return write_table_text("ring 1", {"order": R.order, "one": R.one},
+                            R.names, R.add, R.mul)
 
 
 def check_ring(R):
@@ -383,6 +448,27 @@ def heyting_count(n):
             assert A.mul == meet_table(A.add), A
             count += 1
     return count
+
+
+def section4_counts(n):
+    """(integral, z1, z2) over the order-n census: the classes with Z(A)
+    empty, with |Z(A)| = 1, and with |Z(A)| = 2 and Z(A)^2 != 0, each Z(A)
+    read off the mul rows (x != 0 with xy = 0 for some y != 0).
+
+    Section 4 of the paper gives integral(n) = C(n-1), the number of
+    classes of order n - 1, z1(n) = integral(n-1) and z2(n) =
+    3 integral(n-2)."""
+    integral = z1 = z2 = 0
+    for A in census.enumerate_posemirings(n).instances:
+        mul = A.mul
+        z = [x for x in range(1, n) if 0 in mul[x][1:]]
+        if not z:
+            integral += 1
+        elif len(z) == 1:
+            z1 += 1
+        elif len(z) == 2 and any(mul[x][y] for x in z for y in z):
+            z2 += 1
+    return integral, z1, z2
 
 
 def _swept_tables(n, fixed):

@@ -25,7 +25,6 @@ from posemiring.census import (
 )
 from posemiring.core import (
     DomainError,
-    derived_checks,
     find_isomorphism,
     make_table,
     verify_axioms,
@@ -84,10 +83,23 @@ class TestCounts:
         assert [oracles.heyting_count(n) for n in range(2, 9)] == [
             1, 1, 2, 3, 5, 8, 15]
 
+    def test_section4_counts(self):
+        # Section 4: integral classes of order n are the lifts of the order
+        # n-1 classes; adjoin_z1 maps the integral classes of order n-1 onto
+        # |Z(A)| = 1, and the three Z(A)^2 != 0 adjoins map those of order
+        # n-2 onto |Z(A)| = 2 with Z(A)^2 != 0
+        counts = {n: oracles.section4_counts(n) for n in range(2, 9)}
+        for n in range(3, 9):
+            integral, z1, z2 = counts[n]
+            assert integral == enumerate_posemirings(n - 1).count_up_to_iso
+            assert z1 == counts[n - 1][0]
+            if n >= 4:
+                assert z2 == 3 * counts[n - 2][0]
+
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
             assert verify_axioms(A).valid
-            assert derived_checks(A) == ()
+            assert oracles.derived_checks(A) == ()
 
     def test_instances_pairwise_nonisomorphic(self, census):
         insts = census[4].instances

@@ -201,6 +201,9 @@ class TestConstructAndProduct:
         ("adjoin-z2i(bool:n=2)", "base instance is not integral"),
         ("adjoin-z2c(example-4.6:k=1,u2=c)",
          "example-4.6: missing ['u2'], unexpected []"),
+        ("product(chain:k=1,chain:k=1))", "unbalanced brackets"),
+        ("product(chain:k=1),chain:k=1)", "unbalanced brackets"),
+        ("product(product(trivial,trivial)", "unbalanced brackets"),
     ])
     def test_single_error_spec_messages(self, capsys, spec, message):
         code, out, err = run(capsys, "construct", spec)
@@ -548,6 +551,15 @@ class TestBoundedInputs:
         err = self.check(capsys, "ring", "ideals", f"file:{path}",
                          prefix=f"error: file:{path}: ")
         assert "UTF-8" in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("prod(zn:2),zn:3)", "unbalanced brackets"),
+        ("file:", "bad file spec 'file:'"),
+    ])
+    def test_ring_spec_errors_name_the_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, "ring", "ideals", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {spec}: {message}\n"
 
     @pytest.mark.parametrize("spec", ["census:1", "census:10"])
     def test_census_corpus_out_of_range(self, capsys, spec):

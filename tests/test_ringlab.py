@@ -173,12 +173,12 @@ class TestRingConstruction:
 
     def test_file_round_trip(self):
         R = ringlab.ring_zn(6)
-        S = ringlab.parse_ring_file(ringlab.ring_to_text(R))
+        S = ringlab.parse_ring_file(oracles.ring_to_text(R))
         assert S.add == R.add and S.mul == R.mul and S.one == R.one
 
     def test_file_rejects_invalid_ring(self):
         R = ringlab.ring_zn(4)
-        text = ringlab.ring_to_text(R).replace("one 1", "one 2")
+        text = oracles.ring_to_text(R).replace("one 1", "one 2")
         with pytest.raises(StructureError):
             ringlab.parse_ring_file(text)
 
@@ -361,7 +361,7 @@ class TestIdealCache:
 
 class TestRingFileBounds:
     def test_order_cap(self):
-        text = ringlab.ring_to_text(ringlab.ring_zn(2)).replace(
+        text = oracles.ring_to_text(ringlab.ring_zn(2)).replace(
             "order 2", f"order {ORDER_CAP + 1}")
         with pytest.raises(StructureError, match="order must be in"):
             ringlab.parse_ring_file(text)
@@ -372,7 +372,7 @@ class TestRingFileBounds:
             ringlab.parse_ring_file(text)
 
     def test_bad_row_rejected(self):
-        text = ringlab.ring_to_text(ringlab.ring_zn(2)).replace(
+        text = oracles.ring_to_text(ringlab.ring_zn(2)).replace(
             "add\n0 1\n", "add\n0 2\n")
         with pytest.raises(StructureError, match="add"):
             ringlab.parse_ring_file(text)
