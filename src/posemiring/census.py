@@ -4,13 +4,15 @@ The census enumerates bounded join-semilattice addition tables, labelled so
 that (down-set size, up-set size) never decreases (every lattice has such a
 labelling, so no isomorphism class is lost), and keeps the first labelled
 lattice of each class with the permutations taking it to its canonical key.
-On each it searches the multiplication tables row by row on flat byte rows:
-every row is a join-endomorphism of the lattice below the identity, the
-labels are a linear extension, so commutativity picks a row's candidates by
-the slice of its column over the rows placed before it, associativity is
-checked as composition of rows, and forward checking drops a partial table
-as soon as a later row has no candidate left.  Each flat table is keyed
-over those permutations.
+A labelled lattice that fails _may_multiply carries no multiplication and is
+skipped before it is keyed.  On each kept class it searches the
+multiplication tables row by row on flat byte rows: every row is a
+join-endomorphism of the lattice below the identity, the labels are a
+linear extension, so commutativity picks a row's candidates by the slice of
+its column over the rows placed before it, associativity is checked as
+composition of rows, and forward checking drops a partial table as soon as
+a later row has no candidate left.  Each flat table is keyed over those
+permutations.
 """
 
 from __future__ import annotations
@@ -159,6 +161,30 @@ def _bounded_semilattices(n: int):
             tab = _join_table(below)
             if tab is not None:
                 yield tab
+
+
+def _may_multiply(add):
+    """Whether x = (x∧a) + (x∧b) for every x and every a + b = 1, which
+    holds on every lattice that carries a multiplication.
+
+    The order is compatible with the product and 1 is its identity, so
+    xy <= x1 = x and xy <= 1y = y, that is xy <= x∧y.  When a + b = 1,
+    x = x(a + b) = xa + xb <= (x∧a) + (x∧b) <= x.
+    The meet x∧a is the element whose down-set is down[x] & down[a].  Only
+    interior x and incomparable a, b need checking: x = 0 and x = 1 pass,
+    and comparable a, b with a + b = 1 include 1 itself.
+    """
+    one = len(add) - 1
+    _, down = order_index(add)
+    meet = {mask: z for z, mask in enumerate(down)}
+    pairs = [(down[a], down[b]) for a in range(1, one)
+             for b in range(a + 1, one) if add[a][b] == one]
+    for x in range(1, one):
+        dx = down[x]
+        for da, db in pairs:
+            if add[meet[dx & da]][meet[dx & db]] != x:
+                return False
+    return True
 
 
 def _join_endomorphisms(add):
@@ -310,8 +336,10 @@ def _least_relabellings(tab, perms):
 def _fast_census(n: int):
     """Search multiplications once per lattice class, keyed over its hits.
 
-    The hits of the first labelled lattice L of a class are the perms p
-    taking it to the lattice key, a coset p0 Aut(L).  Every isomorphism
+    A labelled lattice failing _may_multiply carries no multiplication, and
+    neither does any lattice isomorphic to it, so it is neither keyed nor
+    searched.  The hits of the first labelled lattice L of a class are the
+    perms p taking it to the lattice key, a coset p0 Aut(L).  Every isomorphism
     from a table on L to one on the key lattice is such a perm, so
     lattice_key + min over the hits of the relabelled mul equals
     canonical_form, and the hits reaching that minimum number |Aut(A)|.
@@ -324,8 +352,9 @@ def _fast_census(n: int):
     perms = _fixing_perms(n)
     lattices = {}   # lattice key -> (first labelled lattice, its hits)
     for add in _bounded_semilattices(n):
-        key, hits = _least_relabellings(add, perms)
-        lattices.setdefault(key, (add, hits))
+        if _may_multiply(add):
+            key, hits = _least_relabellings(add, perms)
+            lattices.setdefault(key, (add, hits))
     classes = {}    # canonical key -> |Aut|
     for lattice_key, (add, hits) in lattices.items():
         for mul in _mul_backtrack(n, add):

@@ -509,6 +509,7 @@ def _plan(text: str):
                                  else f"{kind}() takes one spec")
         (n, build), (added, adjoin) = _plan(parts[0]), _ADJOINS[kind]
         return _capped(n + added), lambda: adjoin(build(), *args)
+    split_top_level(text)   # a stray bracket in a leaf is not a parameter
     head, _, tail = text.partition(":")
     if head not in _LEAVES:
         raise StructureError(f"unknown construction kind {head!r}")

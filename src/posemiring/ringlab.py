@@ -225,6 +225,8 @@ def _ring_plan(spec: str):
         nb, build_b = _ring_plan(parts[1])
         _check_product_order(na * nb)
         return na * nb, lambda: ring_product(build_a(), build_b())
+    if not spec.startswith("file:"):    # a file path may hold any bracket
+        split_top_level(spec)           # a stray one here is not a bad number
     if spec.startswith("zn:"):
         try:
             n = int(spec[3:])

@@ -9,7 +9,8 @@ through A.leq; the keys try every permutation in
 full, or build each relabelled row cell by cell; the lattices are labelled
 by every linear extension, and Burnside's lemma over their automorphisms
 counts the census without keys; the Section 4 counts read Z(A) off each
-class's mul rows; the naive census sweeps every
+class's mul rows, and the adjoins' images are told apart by the keys here;
+the naive census sweeps every
 pair of associative add and mul tables and keys the valid ones with the
 keys here; the residuum joins every z with xz <= y; the multiplication
 search fills one cell at a time, and the row search's flat output is read
@@ -31,6 +32,7 @@ import itertools
 import math
 
 from posemiring import census, harness
+from posemiring import constructions as cons
 from posemiring.census import _join_table, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
@@ -450,25 +452,56 @@ def heyting_count(n):
     return count
 
 
-def section4_counts(n):
-    """(integral, z1, z2) over the order-n census: the classes with Z(A)
-    empty, with |Z(A)| = 1, and with |Z(A)| = 2 and Z(A)^2 != 0, each Z(A)
-    read off the mul rows (x != 0 with xy = 0 for some y != 0).
-
-    Section 4 of the paper gives integral(n) = C(n-1), the number of
-    classes of order n - 1, z1(n) = integral(n-1) and z2(n) =
-    3 integral(n-2)."""
-    integral = z1 = z2 = 0
+def section4_classes(n):
+    """The order-n census classes of each Section 4 kind: "integral" (Z(A)
+    empty), "z1" (|Z(A)| = 1) and "z2" (|Z(A)| = 2 and Z(A)^2 != 0), each
+    Z(A) read off the mul rows (x != 0 with xy = 0 for some y != 0)."""
+    kinds = {"integral": [], "z1": [], "z2": []}
     for A in census.enumerate_posemirings(n).instances:
         mul = A.mul
         z = [x for x in range(1, n) if 0 in mul[x][1:]]
         if not z:
-            integral += 1
+            kinds["integral"].append(A)
         elif len(z) == 1:
-            z1 += 1
+            kinds["z1"].append(A)
         elif len(z) == 2 and any(mul[x][y] for x in z for y in z):
-            z2 += 1
-    return integral, z1, z2
+            kinds["z2"].append(A)
+    return kinds
+
+
+def section4_counts(n):
+    """(integral, z1, z2): the number of classes of each section4_classes
+    kind.
+
+    Section 4 of the paper gives integral(n) = C(n-1), the number of
+    classes of order n - 1, z1(n) = integral(n-1) and z2(n) =
+    3 integral(n-2)."""
+    return tuple(map(len, section4_classes(n).values()))
+
+
+def section4_bijections(n):
+    """(images, distinct images, classes, classes reached) for z1 and then
+    for z2 at order n, all compared by canonical_form keys: the z1 images
+    are adjoin_z1 of the integral classes of order n-1, the z2 images
+    adjoin_z2_incomparable and adjoin_z2_chain with u^2 = c and with
+    u^2 = u of those of order n-2.  Section 4 makes each kind's adjoins
+    one-to-one onto its classes, so the four numbers of a kind are equal."""
+    def integral(m):
+        return section4_classes(m)["integral"] if m >= 2 else []
+
+    images = {
+        "z1": [cons.adjoin_z1(B) for B in integral(n - 1)],
+        "z2": [T for B in integral(n - 2)
+               for T in (cons.adjoin_z2_incomparable(B),
+                         cons.adjoin_z2_chain(B, "c"),
+                         cons.adjoin_z2_chain(B, "u"))]}
+    kinds = section4_classes(n)
+    out = []
+    for kind in ("z1", "z2"):
+        got = [canonical_form(T) for T in images[kind]]
+        want = {canonical_form(A) for A in kinds[kind]}
+        out += [len(got), len(set(got)), len(want), len(want & set(got))]
+    return tuple(out)
 
 
 def _swept_tables(n, fixed):

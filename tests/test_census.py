@@ -17,6 +17,7 @@ from posemiring.census import (
     _join_table,
     _least_relabellings,
     _linear_posets,
+    _may_multiply,
     _mul_backtrack,
     automorphism_count,
     canonical_form,
@@ -95,6 +96,13 @@ class TestCounts:
             assert z1 == counts[n - 1][0]
             if n >= 4:
                 assert z2 == 3 * counts[n - 2][0]
+
+    def test_section4_bijections(self):
+        # the four numbers of a kind agree only if its adjoins are one-to-one
+        # onto its classes; order 8 (129 and 78) runs in CI
+        for n in range(3, 8):
+            _, z1, z2 = oracles.section4_counts(n)
+            assert oracles.section4_bijections(n) == (z1,) * 4 + (z2,) * 4
 
     def test_all_instances_valid(self, census_instances):
         for A in census_instances:
@@ -193,6 +201,64 @@ class TestLattices:
                 assert len(got) == len(set(got))
                 assert set(got) == brute(add)
         assert unsorted > 0
+
+
+class TestMayMultiply:
+    def test_rejected_lattices_carry_no_multiplication(self):
+        # the cell-by-cell oracle on every linear-extension labelling, and
+        # the row search on every lattice the census generates
+        for n in range(2, 7):
+            for add in oracles.lattices(n):
+                if not _may_multiply(add):
+                    assert next(oracles.mul_backtrack(n, add), None) is None
+        for n in range(2, 9):
+            for add in _bounded_semilattices(n):
+                if not _may_multiply(add):
+                    assert next(_mul_backtrack(n, add), None) is None
+
+    def test_same_answer_on_keyed_lattices(self):
+        # the test is order-theoretic: it holds or fails on whole classes,
+        # keys included, which are not labelled by a linear extension
+        unsorted = 0
+        for n in range(2, 9):
+            perms = _fixing_perms(n)
+            for add in _bounded_semilattices(n):
+                key = _least_relabellings(add, perms)[0]
+                keyed = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                unsorted += any(keyed[x][y] == y
+                                for x in range(n) for y in range(x))
+                assert _may_multiply(keyed) == _may_multiply(add)
+        assert unsorted > 0
+
+    def test_rejections_pinned(self):
+        # (labelled lattices, classes) rejected for n = 2..8
+        got = []
+        for n in range(2, 9):
+            perms = _fixing_perms(n)
+            rejected = [add for add in _bounded_semilattices(n)
+                        if not _may_multiply(add)]
+            got.append((len(rejected), len({_least_relabellings(add, perms)[0]
+                                            for add in rejected})))
+        assert got == [(0, 0), (0, 0), (0, 0), (2, 2), (9, 8), (44, 34),
+                       (237, 157)]
+
+    def test_census_keys_and_searches_only_kept_lattices(self, monkeypatch):
+        # order 6: 16 labelled lattices in 15 classes, of which 7 labelled
+        # lattices in 7 classes are kept
+        from posemiring import census as census_module
+
+        keyed, searched = [], []
+        least, search = _least_relabellings, _mul_backtrack
+        monkeypatch.setattr(census_module, "_least_relabellings",
+                            lambda tab, perms: keyed.append(tab)
+                            or least(tab, perms))
+        monkeypatch.setattr(census_module, "_mul_backtrack",
+                            lambda n, add: searched.append(add)
+                            or search(n, add))
+        assert enumerate_posemirings(6).count_up_to_iso == 129
+        lattices = [tab for tab in keyed if not isinstance(tab, bytes)]
+        assert (len(lattices), len(searched)) == (7, 7)
+        assert all(map(_may_multiply, lattices + searched))
 
 
 class TestMulSearch:

@@ -204,6 +204,7 @@ class TestConstructAndProduct:
         ("product(chain:k=1,chain:k=1))", "unbalanced brackets"),
         ("product(chain:k=1),chain:k=1)", "unbalanced brackets"),
         ("product(product(trivial,trivial)", "unbalanced brackets"),
+        ("chain:k=1)", "unbalanced brackets"),
     ])
     def test_single_error_spec_messages(self, capsys, spec, message):
         code, out, err = run(capsys, "construct", spec)
@@ -554,6 +555,7 @@ class TestBoundedInputs:
 
     @pytest.mark.parametrize("spec,message", [
         ("prod(zn:2),zn:3)", "unbalanced brackets"),
+        ("zn:2)", "unbalanced brackets"),
         ("file:", "bad file spec 'file:'"),
     ])
     def test_ring_spec_errors_name_the_spec(self, capsys, spec, message):
