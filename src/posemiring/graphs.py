@@ -1,7 +1,8 @@
 """Zero-divisor graphs: construction, metrics, shape classification, DOT export.
 
 A graph is one neighbourhood bit mask per vertex; shapes are read from the
-degrees and masks, and the metrics are computed on first read.
+degrees and masks.  Each metric is its own function of the masks, and a
+shape computes only the ones read from it, on first read.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ class GraphMetrics:
 
 
 def _bfs(nbrs, s: int):
-    """Distances from s, and the shortest cycle closed by a non-tree edge.
+    """The shortest cycle closed by a non-tree edge of a breadth-first search
+    from s, or None when the search meets none.
 
-    The minimum of the cycle lengths over all sources is the girth
-    (Itai & Rodeh 1978); the cycle is None when the search meets none.
+    The minimum over all sources is the girth (Itai & Rodeh 1978).
     """
     dist = [INF] * len(nbrs)
     parent = [None] * len(nbrs)
@@ -96,15 +97,25 @@ def _bfs(nbrs, s: int):
                     if cycle is None or length < cycle:
                         cycle = length
         queue = nxt
-    return dist, cycle
+    return cycle
 
 
-def _maximal_cliques(masks):
+def girth(masks) -> int | None:
+    """The length of a shortest cycle, None when the graph is acyclic."""
+    nbrs = list(map(_members, masks))
+    return min((c for c in (_bfs(nbrs, s) for s in range(len(masks)))
+                if c is not None), default=None)
+
+
+def maximal_cliques(masks):
     """Every maximal clique, by Bron-Kerbosch with Tomita's pivot.
 
     masks[v] is the neighbourhood of v as a bit set; a clique comes out as
-    its sorted vertex positions, and the list is sorted.
+    its sorted vertex positions, and the list is sorted.  The empty graph
+    has none.
     """
+    if not masks:
+        return ()
     cliques = []
     _expand(masks, cliques, 0, (1 << len(masks)) - 1, 0)
     return tuple(sorted(cliques))
@@ -117,15 +128,55 @@ def _expand(masks, cliques, clique, p, x):
         if not x:
             cliques.append(tuple(_members(clique)))
         return
-    pivot = max(_members(p | x), key=lambda u: (masks[u] & p).bit_count())
-    for v in _members(p & ~masks[pivot]):
-        _expand(masks, cliques, clique | 1 << v, p & masks[v], x & masks[v])
-        p &= ~(1 << v)
-        x |= 1 << v
+    # the pivot: the vertex of p | x with the most neighbours in p
+    best = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        m = masks[low.bit_length() - 1]
+        k = (m & p).bit_count()
+        if k > best:
+            best, cover = k, m
+        rest ^= low
+    rest = p & ~cover
+    while rest:
+        low = rest & -rest
+        m = masks[low.bit_length() - 1]
+        _expand(masks, cliques, clique | low, p & m, x & m)
+        p ^= low
+        x |= low
+        rest ^= low
 
 
 def _members(mask: int):
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(masks, frontier: int) -> int:
+    """The union of the neighbourhoods of the vertices in frontier."""
+    reached = 0
+    while frontier:
+        low = frontier & -frontier
+        reached |= masks[low.bit_length() - 1]
+        frontier ^= low
+    return reached
+
+
+def eccentricity(masks, v: int) -> float:
+    """The greatest distance from vertex v, by bit-mask breadth-first
+    search; inf when some vertex is out of reach."""
+    seen = frontier = 1 << v
+    depth = 0
+    while frontier := _reach(masks, frontier) & ~seen:
+        seen |= frontier
+        depth += 1
+    return depth if seen == (1 << len(masks)) - 1 else INF
 
 
 def component_count(masks) -> int:
@@ -138,38 +189,37 @@ def component_count(masks) -> int:
         frontier = unseen & -unseen     # the least vertex not reached yet
         while frontier:
             unseen &= ~frontier
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reached & unseen
+            frontier = _reach(masks, frontier) & unseen
     return count
 
 
+def triangle_free(masks) -> bool:
+    """Whether no edge has two ends with a common neighbour; equivalently,
+    whether the clique number is below 3."""
+    return not any(m & masks[w] for m in masks for w in _members(m))
+
+
+def quadrilateral_free(masks) -> bool:
+    """Whether the graph has no C4 subgraph, that is, no vertex pair with
+    two common neighbours."""
+    n = len(masks)
+    return not any((masks[x] & masks[y]).bit_count() >= 2
+                   for x in range(n) for y in range(x + 1, n))
+
+
 def graph_metrics(G: ZdGraph) -> GraphMetrics:
-    if G.n == 0:
-        return GraphMetrics(diameter=None, girth=None, clique_number=0,
-                            component_count=0, eccentricity=(),
-                            triangle_free=True, quadrilateral_free=True,
-                            maximal_cliques=())
+    """Every metric of G, each from the function that computes it alone."""
     masks = G.masks
-    nbrs = list(map(_members, masks))
-    dist, cycles = zip(*(_bfs(nbrs, s) for s in range(G.n)))
-    ecc = tuple(map(max, dist))
-    cliques = _maximal_cliques(masks)
-    clique_number = max(map(len, cliques))
+    ecc = tuple(eccentricity(masks, v) for v in range(G.n))
+    cliques = maximal_cliques(masks)
     return GraphMetrics(
-        diameter=max(ecc),                  # inf exactly when disconnected
-        girth=min((c for c in cycles if c is not None), default=None),
-        clique_number=clique_number,
+        diameter=max(ecc, default=None),    # inf exactly when disconnected
+        girth=girth(masks),
+        clique_number=max(map(len, cliques), default=0),
         component_count=component_count(masks),
         eccentricity=ecc,
-        triangle_free=clique_number < 3,
-        # a C4 subgraph exists iff some vertex pair has two common neighbours
-        quadrilateral_free=not any(
-            (masks[x] & masks[y]).bit_count() >= 2
-            for x in range(G.n) for y in range(x + 1, G.n)),
+        triangle_free=triangle_free(masks),
+        quadrilateral_free=quadrilateral_free(masks),
         maximal_cliques=cliques,
     )
 
@@ -192,6 +242,28 @@ class GraphShape:
     @cached_property
     def metrics(self) -> GraphMetrics:
         return graph_metrics(self.graph)
+
+    # The facts the catalog reads, each computed without the others.
+
+    @cached_property
+    def maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
+        return maximal_cliques(self.graph.masks)
+
+    @property
+    def clique_number(self) -> int:
+        return max(map(len, self.maximal_cliques), default=0)
+
+    @cached_property
+    def triangle_free(self) -> bool:
+        return triangle_free(self.graph.masks)
+
+    @cached_property
+    def quadrilateral_free(self) -> bool:
+        return quadrilateral_free(self.graph.masks)
+
+    def eccentricity(self, v: int) -> float:
+        """The eccentricity of the vertex at position v."""
+        return eccentricity(self.graph.masks, v)
 
     @property
     def acyclic(self) -> bool:

@@ -89,10 +89,6 @@ class Ctx:
     def graph(self):
         return cons.posemiring_zdgraph(self.A)
 
-    @property
-    def metrics(self):
-        return self.shape.metrics
-
     @cached_property
     def shape(self):
         return classify_shape(self.graph)
@@ -272,8 +268,8 @@ def chk_l34b(ctx):
     bad = sorted(ctx.ana.minimals - ctx.zset)
     if bad:
         return _fail(("minimal-not-zd", bad[0]))
-    if ctx.metrics.clique_number < len(ctx.ana.minimals):
-        return _fail(("clique", ctx.metrics.clique_number,
+    if ctx.shape.clique_number < len(ctx.ana.minimals):
+        return _fail(("clique", ctx.shape.clique_number,
                       len(ctx.ana.minimals)))
     return _pass()
 
@@ -285,10 +281,10 @@ def chk_l34c(ctx):
         if u not in pos:
             return _fail(("not-a-vertex", u))
         i = pos[u]
-        if ctx.metrics.eccentricity[i] > 2:
+        if ctx.shape.eccentricity(i) > 2:
             return _fail(("eccentricity", u))
         nb = set(G.neighbors(i))
-        for K in ctx.metrics.maximal_cliques:
+        for K in ctx.shape.maximal_cliques:
             if len(set(K) - nb) > 1:
                 return _fail(("clique-coverage", u,
                               sorted(G.vertices[w] for w in K)))
@@ -435,7 +431,7 @@ def chk_p48(ctx):
 
 
 def chk_l33a(ctx1, ctx2, ctx_prod):
-    lhs = ctx_prod.metrics.triangle_free
+    lhs = ctx_prod.shape.triangle_free
     rhs = any(not a.zset and len(b.zset) <= 1
               for a, b in ((ctx1, ctx2), (ctx2, ctx1)))
     return _pass() if lhs == rhs else _fail(("triangle", lhs, rhs))
@@ -449,7 +445,7 @@ def chk_l33b(ctx1, ctx2, ctx_prod):
 
 
 def chk_l33c(ctx1, ctx2, ctx_prod):
-    lhs = ctx_prod.metrics.quadrilateral_free
+    lhs = ctx_prod.shape.quadrilateral_free
 
     def side(a, b):
         if a.A.order != 2:

@@ -15,7 +15,8 @@ pair of associative add and mul tables and keys the valid ones with the
 keys here; the residuum joins every z with xz <= y; the multiplication
 search fills one cell at a time, and the row search's flat output is read
 as rows and pinned by a digest; the classes with every element idempotent
-are checked against the lattice meet; graphs are built by a scan of every
+are checked against the lattice meet; the Gödel algebras are counted as
+forests by their down-set counts; graphs are built by a scan of every
 cell, and their metrics and shapes enumerate vertex subsets and
 bipartitions; ring tables are filled cell by cell, and written out
 for the ring-file parser,
@@ -27,6 +28,7 @@ isomorphism invariants and the ideal flags test the order one pair at a
 time through A.leq.  Tests compare the package against them.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -452,6 +454,46 @@ def heyting_count(n):
     return count
 
 
+def godel_counts(n):
+    """(forests, census classes) of order n: the finite Gödel algebras
+    counted twice.  A Gödel algebra is the down-set lattice of a forest, a
+    poset whose principal down-sets are chains; a rooted tree has
+    D = 1 + prod D(child) down-sets and a forest the product of the D of its
+    trees, so the forests are counted by that product, up to isomorphism.
+    The census classes are those whose mul is the lattice meet and whose
+    join-irreducibles below any join-irreducible form a chain."""
+
+    @functools.cache
+    def forests(m, top):
+        # multisets of trees with at most top down-sets each, product m
+        if m == 1:
+            return 1
+        total = 0
+        for d in range(2, min(top, m) + 1):
+            trees = forests(d - 1, d - 1)   # a root below a forest
+            rest, k = m, 0
+            while rest % d == 0:
+                rest //= d
+                k += 1
+                total += math.comb(trees + k - 1, k) * forests(rest, d - 1)
+        return total
+
+    classes = 0
+    r = range(n)
+    for A in census.enumerate_posemirings(n).instances:
+        add = A.add
+        if not (all(A.mul[x][x] == x for x in r)
+                and A.mul == meet_table(add)):
+            continue
+        leq = [[add[x][y] == y for y in r] for x in r]
+        irr = [j for j in range(1, n) if functools.reduce(
+            lambda u, v: add[u][v], (z for z in r if z != j and leq[z][j]),
+            0) != j]
+        classes += all(leq[a][b] or leq[b][a] for j in irr
+                       for a in irr if leq[a][j] for b in irr if leq[b][j])
+    return forests(n, n), classes
+
+
 def section4_classes(n):
     """The order-n census classes of each Section 4 kind: "integral" (Z(A)
     empty), "z1" (|Z(A)| = 1) and "z2" (|Z(A)| = 2 and Z(A)^2 != 0), each
@@ -573,19 +615,27 @@ def residuum(A):
     return tuple(rows)
 
 
+def is_mv_algebra(A):
+    """Whether A, read as a residuated lattice through residuum, has
+    (x -> y) -> y = x + y for all x and y."""
+    r = range(A.order)
+    imp = residuum(A)
+    return all(imp[imp[x][y]][y] == A.add[x][y] for x in r for y in r)
+
+
 def residuated_counts(n):
     """(MV-algebras, BL-chains) among the order-n census classes, read as
     residuated lattices through residuum: the MV-algebras are the classes
-    with (x -> y) -> y = x + y, one per factorization of n (OEIS A001055);
+    of is_mv_algebra, one per factorization of n (OEIS A001055);
     the BL-chains are the chains with x(x -> y) = min(x, y), one per
     composition of n - 1 into the orders of their MV-chain summands."""
     r = range(n)
     mv = bl = 0
     for A in census.enumerate_posemirings(n).instances:
         add, mul = A.add, A.mul
-        imp = residuum(A)
-        mv += all(imp[imp[x][y]][y] == add[x][y] for x in r for y in r)
+        mv += is_mv_algebra(A)
         if all(add[x][y] in (x, y) for x in r for y in r):
+            imp = residuum(A)
             bl += all(mul[x][imp[x][y]] == (x if add[x][y] == y else y)
                       for x in r for y in r)
     return mv, bl

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import itertools
@@ -136,6 +137,48 @@ class TestCounts:
         # one per composition of n - 1, 2^(n-2)
         assert [oracles.residuated_counts(n) for n in range(2, 9)] == list(
             zip([1, 1, 2, 1, 2, 1, 3], [2 ** (n - 2) for n in range(2, 9)]))
+
+    def test_godel_algebra_count(self):
+        # forests counted by their down-set counts against the census
+        # classes that multiply by the meet over a forest of
+        # join-irreducibles; order 9 (6) runs in CI
+        assert [oracles.godel_counts(n) for n in range(2, 9)] == [
+            (c, c) for c in (1, 1, 2, 2, 3, 3, 5)]
+
+    def test_mv_algebras_are_products_of_lukasiewicz_chains(self):
+        # each MV class is isomorphic to exactly one product of Lukasiewicz
+        # chains, and each unordered factorization of n gives one class
+        for n in range(2, 9):
+            products = {
+                fs: functools.reduce(cons.direct_product,
+                                     map(lukasiewicz_chain, fs))
+                for fs in factorizations(n)}
+            found = [[fs for fs, P in products.items()
+                      if find_isomorphism(A, P) is not None]
+                     for A in enumerate_posemirings(n).instances
+                     if oracles.is_mv_algebra(A)]
+            assert all(len(fs) == 1 for fs in found), (n, found)
+            assert sorted(fs for fs, in found) == sorted(products), n
+
+
+def lukasiewicz_chain(k):
+    """The Lukasiewicz chain 0 < 1 < ... < k - 1 with
+    x * y = max(0, x + y - (k - 1))."""
+    r = range(k)
+    return make_table(k, ["0", *(f"l{i}" for i in range(1, k - 1)), "1"],
+                      [[max(x, y) for y in r] for x in r],
+                      [[max(0, x + y - (k - 1)) for y in r] for x in r])
+
+
+def factorizations(n, least=2):
+    """The unordered factorizations of n into factors >= least, each as a
+    nondecreasing tuple."""
+    if n == 1:
+        yield ()
+    for f in range(least, n + 1):
+        if n % f == 0:
+            for rest in factorizations(n // f, f):
+                yield (f,) + rest
 
 
 class TestLattices:

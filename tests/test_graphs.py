@@ -12,8 +12,14 @@ from posemiring.graphs import (
     ZdGraph,
     build_zdgraph,
     classify_shape,
+    component_count,
+    eccentricity,
     export_dot,
+    girth,
     graph_metrics,
+    maximal_cliques,
+    quadrilateral_free,
+    triangle_free,
 )
 
 
@@ -131,6 +137,24 @@ def graphs(draw):
                                 if u < density])
 
 
+def assert_facts(G, m):
+    """Each fact function, and each fact a shape computes alone, equals the
+    field of the oracle metrics m, without computing the full metrics."""
+    masks = G.masks
+    assert maximal_cliques(masks) == m.maximal_cliques
+    assert tuple(eccentricity(masks, v) for v in range(G.n)) == m.eccentricity
+    assert triangle_free(masks) == m.triangle_free == (m.clique_number < 3)
+    assert quadrilateral_free(masks) == m.quadrilateral_free
+    assert (girth(masks), component_count(masks)) == (m.girth,
+                                                      m.component_count)
+    s = classify_shape(G)
+    assert (s.maximal_cliques, s.clique_number, s.triangle_free,
+            s.quadrilateral_free) == (m.maximal_cliques, m.clique_number,
+                                      m.triangle_free, m.quadrilateral_free)
+    assert tuple(map(s.eccentricity, range(G.n))) == m.eccentricity
+    assert "metrics" not in s.__dict__
+
+
 class TestOracle:
     def test_every_graph_up_to_five_vertices(self):
         count = 0
@@ -141,6 +165,7 @@ class TestOracle:
                 m = oracles.graph_metrics(G)
                 assert (s, s.metrics, s.acyclic) == (
                     oracles.classify_shape(G), m, m.girth is None)
+                assert_facts(G, m)
                 count += 1
         assert count == 1 + 1 + 2 + 8 + 64 + 1024
 
@@ -151,6 +176,7 @@ class TestOracle:
         s = classify_shape(G)
         assert (s, s.metrics) == (oracles.classify_shape(G),
                                   oracles.graph_metrics(G))
+        assert_facts(G, oracles.graph_metrics(G))
 
 
 class TestShapes:

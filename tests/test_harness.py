@@ -9,6 +9,7 @@ import oracles
 from posemiring import constructions as cons
 from posemiring import core, graphs, harness, ringlab
 from posemiring.census import enumerate_posemirings
+from posemiring.cli import main
 from posemiring.core import StructureError, make_table
 from posemiring.graphs import ZdGraph
 
@@ -425,7 +426,8 @@ class TestRingChecks:
 
 class TestGraphMetricsOnDemand:
     """Shapes and the acyclic test come from degrees, masks and a component
-    count; the full metrics are computed only for the checks that read them."""
+    count, and each check computes only the graph facts it reads; the full
+    metrics are computed only for the graph commands."""
 
     def test_ring_catalog_computes_no_graph_metrics(self, monkeypatch):
         calls = []
@@ -438,6 +440,40 @@ class TestGraphMetricsOnDemand:
         # the counter sees a read of the metrics
         assert graphs.classify_shape(ZdGraph((1, 2), (2, 1))).metrics.girth \
             is None and len(calls) == 1
+
+    def test_posemiring_catalog_computes_no_graph_metrics(self, monkeypatch,
+                                                          capsys):
+        calls = []
+        metrics = graphs.graph_metrics
+
+        def counting(G):
+            calls.append(G)
+            return metrics(G)
+
+        monkeypatch.setattr(graphs, "graph_metrics", counting)
+        monkeypatch.setattr(harness, "graph_metrics", counting)
+        corpus = harness.census_corpus(5)
+        corpus.pairs += harness.census_pairs(3)
+        report = harness.run_catalog(corpus)
+        assert calls == []
+        # the verdicts the catalog gave when it read the full metrics
+        assert report.counts == {"pass": 430, "fail": 0,
+                                 "not-applicable": 422}
+        assert sorted(Counter(
+            (cid, res.status) for cid, _, res in report.results
+            if cid in ("L3.3a", "L3.3c", "L3.4b", "L3.4c")).items()) == [
+            (("L3.3a", "pass"), 6), (("L3.3c", "pass"), 6),
+            (("L3.4b", "not-applicable"), 11), (("L3.4b", "pass"), 25),
+            (("L3.4c", "not-applicable"), 11), (("L3.4c", "pass"), 25)]
+        # the graph command reads the full metrics once and prints each one
+        assert main(["graph", "product(bool:n=2,chain:k=2)", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert {key: payload[key] for key in (
+            "diameter", "girth", "clique_number", "triangle_free",
+            "quadrilateral_free")} == {
+            "diameter": 3, "girth": 3, "clique_number": 3,
+            "triangle_free": False, "quadrilateral_free": False}
 
     def test_acyclic_is_oracle_girth_none(self):
         for n in range(2, 8):
