@@ -15,7 +15,7 @@ import sys
 
 from . import census as census_mod
 from . import constructions as cons
-from . import harness, ringlab
+from . import graphs, harness, ringlab
 from .core import (
     ClosureError,
     DomainError,
@@ -121,8 +121,8 @@ def cmd_analyze(args):
     return 0
 
 
-def _shape_payload(shape):
-    G, m = shape.graph, shape.metrics
+def _shape_payload(shape, m):
+    G = shape.graph
     return {
         "shape": shape.tag,
         "params": list(shape.params),
@@ -147,9 +147,9 @@ def _graph_output(args, A, shape):
     if args.shape:
         print(shape.line())
         return 0
-    payload = _shape_payload(shape)
+    m = graphs.graph_metrics(shape)
+    payload = _shape_payload(shape, m)
     payload["vertex_names"] = [A.names[v] for v in G.vertices]
-    m = shape.metrics
     lines = [shape.line(),
              "vertices: " + ", ".join(A.names[v] for v in G.vertices),
              f"edges={len(G.edges())} diameter={m.diameter} girth={m.girth} "

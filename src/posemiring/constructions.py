@@ -116,37 +116,23 @@ def example_2_6(k: int) -> PoSemiringTable:
 
 
 def example_3_2(k: int) -> PoSemiringTable:
-    """Same chain as example_2_6 but with min multiplication except a*a = 0."""
-    names = _b_chain(k, "a")
-    a = 1
-
-    def mul(x, y):
-        if x == a and y == a:
-            return 0
-        return min(x, y)
-
-    return _table_from_ops(names, max, mul)
+    """Chain 0 < a < b1 < ... < bk < 1 with max addition and min product
+    except a*a = 0: the chain 0 < b1 < ... < bk < 1 with a adjoined."""
+    _b_chain(k, "a")
+    return _adjoin(_table_from_ops(_b_chain(k), max, min), ("a",),
+                   low_add=[[1]], low_mul=[[0]])
 
 
 def example_4_6(k: int, u_square: str) -> PoSemiringTable:
-    """Chain 0 < c < u < b1 < ... < bk < 1 with c, u as zero divisors."""
-    names = _b_chain(k, "c", "u")
+    """Chain 0 < c < u < b1 < ... < bk < 1 with c, u as zero divisors: the
+    chain 0 < b1 < ... < bk < 1 with c < u adjoined, cc = cu = 0 and uu
+    zero, c or u."""
+    _b_chain(k, "c", "u")
     if u_square not in ("zero", "c", "u"):
         raise DomainError(f"u_square must be zero/c/u, got {u_square!r}")
-    c, u = 1, 2
-    u2 = {"zero": 0, "c": c, "u": u}[u_square]
-
-    def mul(x, y):
-        x, y = min(x, y), max(x, y)
-        if x == c and y == c:
-            return 0          # forced by c <= u and cu = 0
-        if x == c and y == u:
-            return 0
-        if x == u and y == u:
-            return u2
-        return min(x, y)
-
-    return _table_from_ops(names, max, mul)
+    u2 = ("zero", "c", "u").index(u_square)
+    return _adjoin(_table_from_ops(_b_chain(k), max, min), ("c", "u"),
+                   low_add=[[1, 2], [2, 2]], low_mul=[[0, 0], [0, u2]])
 
 
 def example_4_7(k: int, pos: int) -> PoSemiringTable:

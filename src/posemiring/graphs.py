@@ -63,48 +63,38 @@ def build_zdgraph(mul) -> ZdGraph:
 
 @dataclass(frozen=True)
 class GraphMetrics:
+    """The facts the graph commands print."""
     diameter: float | None      # None for the empty graph, inf when disconnected
     girth: int | None           # None when acyclic
     clique_number: int
-    component_count: int
-    eccentricity: tuple[float, ...]
     triangle_free: bool
     quadrilateral_free: bool
-    maximal_cliques: tuple[tuple[int, ...], ...]   # vertex positions, sorted
-
-
-def _bfs(nbrs, s: int):
-    """The shortest cycle closed by a non-tree edge of a breadth-first search
-    from s, or None when the search meets none.
-
-    The minimum over all sources is the girth (Itai & Rodeh 1978).
-    """
-    dist = [INF] * len(nbrs)
-    parent = [None] * len(nbrs)
-    dist[s] = 0
-    cycle = None
-    queue = [s]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in nbrs[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    nxt.append(w)
-                elif w != parent[v]:
-                    length = dist[v] + dist[w] + 1
-                    if cycle is None or length < cycle:
-                        cycle = length
-        queue = nxt
-    return cycle
 
 
 def girth(masks) -> int | None:
-    """The length of a shortest cycle, None when the graph is acyclic."""
-    nbrs = list(map(_members, masks))
-    return min((c for c in (_bfs(nbrs, s) for s in range(len(masks)))
-                if c is not None), default=None)
+    """The length of a shortest cycle, None when the graph is acyclic.
+
+    Breadth-first layers from each vertex: an edge inside layer d closes a
+    cycle of length at most 2d + 1, and a vertex of layer d + 1 with two
+    neighbours in layer d one of at most 2d + 2.  From a vertex of a
+    shortest cycle the first of these is found at that cycle's length.
+    """
+    best = None
+    for s in range(len(masks)):
+        seen = layer = 1 << s
+        depth = 0
+        while layer and (best is None or 2 * depth + 1 < best):
+            reached = _reach(masks, layer)
+            if reached & layer:
+                best = 2 * depth + 1
+                break
+            below, layer = layer, reached & ~seen
+            if any((masks[w] & below).bit_count() > 1 for w in _members(layer)):
+                best = 2 * depth + 2
+                break
+            seen |= layer
+            depth += 1
+    return best
 
 
 def maximal_cliques(masks):
@@ -207,20 +197,16 @@ def quadrilateral_free(masks) -> bool:
                    for x in range(n) for y in range(x + 1, n))
 
 
-def graph_metrics(G: ZdGraph) -> GraphMetrics:
-    """Every metric of G, each from the function that computes it alone."""
-    masks = G.masks
-    ecc = tuple(eccentricity(masks, v) for v in range(G.n))
-    cliques = maximal_cliques(masks)
+def graph_metrics(shape: GraphShape) -> GraphMetrics:
+    """The printed facts of a shape's graph, from the facts it caches."""
+    masks = shape.graph.masks
     return GraphMetrics(
-        diameter=max(ecc, default=None),    # inf exactly when disconnected
-        girth=girth(masks),
-        clique_number=max(map(len, cliques), default=0),
-        component_count=component_count(masks),
-        eccentricity=ecc,
-        triangle_free=triangle_free(masks),
-        quadrilateral_free=quadrilateral_free(masks),
-        maximal_cliques=cliques,
+        diameter=max((eccentricity(masks, v) for v in range(len(masks))),
+                     default=None),     # inf exactly when disconnected
+        girth=shape.girth,
+        clique_number=shape.clique_number,
+        triangle_free=shape.triangle_free,
+        quadrilateral_free=shape.quadrilateral_free,
     )
 
 
@@ -239,11 +225,8 @@ class GraphShape:
     params: tuple[int, ...]
     graph: ZdGraph = field(compare=False, repr=False)
 
-    @cached_property
-    def metrics(self) -> GraphMetrics:
-        return graph_metrics(self.graph)
-
-    # The facts the catalog reads, each computed without the others.
+    # The facts the checks and the commands read, each computed without
+    # the others on first read.
 
     @cached_property
     def maximal_cliques(self) -> tuple[tuple[int, ...], ...]:
@@ -261,9 +244,9 @@ class GraphShape:
     def quadrilateral_free(self) -> bool:
         return quadrilateral_free(self.graph.masks)
 
-    def eccentricity(self, v: int) -> float:
-        """The eccentricity of the vertex at position v."""
-        return eccentricity(self.graph.masks, v)
+    @cached_property
+    def girth(self) -> int | None:
+        return girth(self.graph.masks)
 
     @property
     def acyclic(self) -> bool:
@@ -285,7 +268,7 @@ class GraphShape:
         if self.tag == "complete-bipartite":
             return f"complete-bipartite m={self.params[0]} n={self.params[1]}"
         if self.tag == "cyclic":
-            return f"cyclic girth={self.metrics.girth}"
+            return f"cyclic girth={self.girth}"
         return self.tag
 
 

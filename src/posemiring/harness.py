@@ -18,7 +18,6 @@ from . import constructions as cons
 from . import ringlab
 from .core import (
     ClosureError,
-    NotApplicableError,
     PoSemiringTable,
     StructureError,
     analyze_elements,
@@ -33,7 +32,11 @@ from .core import (
     verify_axioms,
     zero_divisors,
 )
-from .graphs import classify_shape, graph_metrics
+from .graphs import (
+    classify_shape,
+    eccentricity,
+    graph_metrics,  # not called here: perfbench/spans.py times it by this name
+)
 
 
 @cache
@@ -102,18 +105,12 @@ class Ctx:
         return self.shape.acyclic
 
     @cached_property
-    def _small_z(self):
-        try:
-            return cons.recognize_small_z(self.A), None
-        except (ClosureError, StructureError, NotApplicableError) as exc:
-            return None, exc
-
     def small_z(self):
-        """recognize_small_z(A), run once; an error it raised is re-raised."""
-        dec, exc = self._small_z
-        if exc is not None:
-            raise exc
-        return dec
+        """What recognize_small_z(A) returned, or the error it raised."""
+        try:
+            return cons.recognize_small_z(self.A)
+        except (ClosureError, StructureError) as exc:
+            return exc
 
 
 class RingCtx:
@@ -281,7 +278,7 @@ def chk_l34c(ctx):
         if u not in pos:
             return _fail(("not-a-vertex", u))
         i = pos[u]
-        if ctx.shape.eccentricity(i) > 2:
+        if eccentricity(G.masks, i) > 2:
             return _fail(("eccentricity", u))
         nb = set(G.neighbors(i))
         for K in ctx.shape.maximal_cliques:
@@ -378,10 +375,9 @@ def _z_square_zero(ctx):
 
 
 def chk_t42(ctx):
-    try:
-        dec = ctx.small_z()
-    except (ClosureError, StructureError) as exc:
-        return _fail(str(exc))
+    dec = ctx.small_z
+    if isinstance(dec, Exception):
+        return _fail(str(dec))
     if zero_divisors(dec.a1):
         return _fail("recovered base is not integral")
     return _pass()
@@ -389,10 +385,9 @@ def chk_t42(ctx):
 
 def chk_c43(ctx):
     is_square = find_isomorphism(ctx.A, _boolean_square()) is not None
-    try:
-        dec = ctx.small_z()
-    except (ClosureError, StructureError) as exc:
-        return _fail(str(exc))
+    dec = ctx.small_z
+    if isinstance(dec, Exception):
+        return _fail(str(dec))
     if not (is_square or isinstance(dec, cons.Z2ChainDecomposition)):
         return _fail("neither {0,1}^2 nor the chain construction")
     if not ctx.ana.nilpotency and not is_square:
@@ -401,10 +396,9 @@ def chk_c43(ctx):
 
 
 def chk_p45(ctx):
-    try:
-        rep = ctx.small_z()
-    except ClosureError as exc:
-        return _fail(("closure", exc.witness))
+    rep = ctx.small_z
+    if isinstance(rep, ClosureError):
+        return _fail(("closure", rep.witness))
     if not isinstance(rep, cons.Prop45Report):
         return _fail("expected a condition report")
     if zero_divisors(rep.a1):
@@ -773,21 +767,15 @@ def _product_pairs(bases) -> list:
 
 
 def default_ring_corpus() -> list:
-    rings = []
-    for n in range(2, 65):
-        rings.append((f"zn:{n}", ringlab.ring_zn(n)))
-    for p in (2, 3, 5):
-        for c1 in range(p):
-            for c0 in range(p):
-                rings.append((f"zpx:{p}:{c1}:{c0}",
-                              ringlab.ring_quadratic(p, c1, c0)))
-    small = [(f"zn:{n}", ringlab.ring_zn(n)) for n in range(2, 9)]
-    small += [(f"zpx:2:{c1}:{c0}", ringlab.ring_quadratic(2, c1, c0))
-              for c1 in range(2) for c0 in range(2)]
-    for i, (ida, A) in enumerate(small):
-        for idb, B in small[i:]:
-            rings.append((f"prod({ida},{idb})", ringlab.ring_product(A, B)))
-    return rings
+    """(spec, ring) for Z/n (n <= 64), every Z_p[x]/(x^2 + c1 x + c0) with
+    p <= 5, and the products of pairs of the small ones."""
+    specs = [f"zn:{n}" for n in range(2, 65)]
+    specs += [f"zpx:{p}:{c1}:{c0}" for p in (2, 3, 5)
+              for c1 in range(p) for c0 in range(p)]
+    small = [f"zn:{n}" for n in range(2, 9)]
+    small += [f"zpx:2:{c1}:{c0}" for c1 in range(2) for c0 in range(2)]
+    specs += [f"prod({a},{b})" for i, a in enumerate(small) for b in small[i:]]
+    return [(spec, ringlab.make_ring(spec)) for spec in specs]
 
 
 def full_corpus(max_n: int) -> Corpus:

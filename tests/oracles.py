@@ -17,9 +17,9 @@ search fills one cell at a time, and the row search's flat output is read
 as rows and pinned by a digest; the classes with every element idempotent
 are checked against the lattice meet; the Gödel algebras are counted as
 forests by their down-set counts; graphs are built by a scan of every
-cell, and their metrics and shapes enumerate vertex subsets and
-bipartitions; ring tables are filled cell by cell, and written out
-for the ring-file parser,
+cell, their metrics and shapes enumerate vertex subsets and bipartitions,
+and the girth closes each edge by a shortest path around it; ring tables
+are filled cell by cell, and written out for the ring-file parser,
 ideal sums and products take every pair of members, the least ideal
 containing a set is a fixpoint of sums and products, and nilpotency takes
 every power; complements, primitive idempotents, (C1)-(C3) and primitive
@@ -32,6 +32,8 @@ import functools
 import hashlib
 import itertools
 import math
+from collections import deque
+from dataclasses import dataclass
 
 from posemiring import census, harness
 from posemiring import constructions as cons
@@ -48,7 +50,7 @@ from posemiring.core import (
     make_table,
     write_table_text,
 )
-from posemiring.graphs import GraphMetrics, GraphShape
+from posemiring.graphs import GraphShape
 
 
 def verify_axioms(A) -> AxiomReport:
@@ -726,15 +728,28 @@ def adjacency(G):
     return tuple(tuple(bool(m >> j & 1) for j in range(G.n)) for m in G.masks)
 
 
-def graph_metrics(G) -> GraphMetrics:
-    """graphs.graph_metrics with Floyd-Warshall distances, union-find
-    components, and girth, triangles, C4s and cliques over vertex subsets."""
+@dataclass(frozen=True)
+class GraphFacts:
+    diameter: float | None      # None for the empty graph, inf when disconnected
+    girth: int | None           # None when acyclic
+    clique_number: int
+    component_count: int
+    eccentricity: tuple[float, ...]
+    triangle_free: bool
+    quadrilateral_free: bool
+    maximal_cliques: tuple[tuple[int, ...], ...]   # vertex positions, sorted
+
+
+def graph_metrics(G) -> GraphFacts:
+    """Every graph fact of the graphs module, with Floyd-Warshall distances,
+    union-find components, and girth, triangles, C4s and cliques over
+    vertex subsets."""
     n, adj = G.n, adjacency(G)
     if n == 0:
-        return GraphMetrics(diameter=None, girth=None, clique_number=0,
-                            component_count=0, eccentricity=(),
-                            triangle_free=True, quadrilateral_free=True,
-                            maximal_cliques=())
+        return GraphFacts(diameter=None, girth=None, clique_number=0,
+                          component_count=0, eccentricity=(),
+                          triangle_free=True, quadrilateral_free=True,
+                          maximal_cliques=())
     dist = [[0 if x == y else 1 if adj[x][y] else math.inf
              for y in range(n)] for x in range(n)]
     for k in range(n):
@@ -771,7 +786,7 @@ def graph_metrics(G) -> GraphMetrics:
                if is_clique(S)
                and not any(all(adj[v][x] for x in S)
                            for v in range(n) if v not in S)]
-    return GraphMetrics(
+    return GraphFacts(
         diameter=max(ecc),
         girth=next((k for k in range(3, n + 1) for S in _subsets(n, k)
                     if induced_cycle(S)), None),
@@ -786,6 +801,28 @@ def graph_metrics(G) -> GraphMetrics:
                       (S[0], S[2], S[1], S[3]))),
         maximal_cliques=tuple(sorted(cliques)),
     )
+
+
+def girth(G) -> int | None:
+    """graphs.girth on adjacency sets: the least, over edges uv, of 1 plus
+    the breadth-first distance from u to v with uv removed."""
+    nbrs = [set(G.neighbors(i)) for i in range(G.n)]
+    best = None
+    for u in range(G.n):
+        for v in nbrs[u]:
+            if v < u:
+                continue
+            dist = {u: 0}
+            queue = deque([u])
+            while queue and v not in dist:
+                x = queue.popleft()
+                for y in nbrs[x]:
+                    if y not in dist and {x, y} != {u, v}:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+            if v in dist and (best is None or dist[v] + 1 < best):
+                best = dist[v] + 1
+    return best
 
 
 def classify_shape(G) -> GraphShape:

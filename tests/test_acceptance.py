@@ -19,7 +19,7 @@ from posemiring.core import (
     lower_ideal,
     zero_divisors,
 )
-from posemiring.graphs import classify_shape, graph_metrics
+from posemiring.graphs import classify_shape, eccentricity, graph_metrics
 
 
 def shape_of(A):
@@ -201,17 +201,17 @@ class TestCriterion8StructuralProperties:
             if not zero_divisors(A):
                 continue
             G = cons.posemiring_zdgraph(A)
-            metrics = graph_metrics(G)
             pos = {v: i for i, v in enumerate(G.vertices)}
             for u in analyze_elements(A).minimals:
                 assert u in pos
-                assert metrics.eccentricity[pos[u]] <= 2
+                assert eccentricity(G.masks, pos[u]) <= 2
 
     def test_clique_number_bounds_minimals(self, census_instances):
         for A in census_instances:
             if not zero_divisors(A):
                 continue
-            metrics = graph_metrics(cons.posemiring_zdgraph(A))
+            metrics = graph_metrics(
+                classify_shape(cons.posemiring_zdgraph(A)))
             assert metrics.clique_number >= len(analyze_elements(A).minimals)
 
     def test_vertex_count_under_chain_hypotheses(self, census_instances):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from posemiring import constructions as cons
+from posemiring import harness, ringlab
 from posemiring.core import StructureError
 from posemiring.graphs import (
+    GraphMetrics,
     ZdGraph,
     build_zdgraph,
     classify_shape,
@@ -75,46 +77,52 @@ class TestBuild:
             assert (G.vertices, oracles.adjacency(G)) == want
 
 
+def printed(G):
+    """The metrics the graph commands print for G."""
+    return graph_metrics(classify_shape(G))
+
+
 class TestMetrics:
     def test_empty_graph(self):
-        m = graph_metrics(graph_from_edges(0, []))
+        G = graph_from_edges(0, [])
+        m = printed(G)
         assert m.diameter is None and m.girth is None
-        assert m.clique_number == 0 and m.component_count == 0
+        assert m.clique_number == 0 and component_count(G.masks) == 0
 
     def test_path_p4(self):
-        m = graph_metrics(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        m = printed(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
         assert m.diameter == 3
         assert m.girth is None
         assert m.clique_number == 2
         assert m.triangle_free and m.quadrilateral_free
 
     def test_cycle_c4(self):
-        m = graph_metrics(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        m = printed(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         assert m.girth == 4
         assert m.triangle_free
         assert not m.quadrilateral_free
 
     def test_cycle_c5(self):
-        m = graph_metrics(graph_from_edges(
+        m = printed(graph_from_edges(
             5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
         assert m.girth == 5
         assert m.diameter == 2
         assert m.triangle_free and m.quadrilateral_free
 
     def test_triangle(self):
-        m = graph_metrics(graph_from_edges(3, [(0, 1), (1, 2), (2, 0)]))
+        m = printed(graph_from_edges(3, [(0, 1), (1, 2), (2, 0)]))
         assert m.girth == 3
         assert m.clique_number == 3
         assert not m.triangle_free
 
     def test_disconnected_diameter_infinite(self):
-        m = graph_metrics(graph_from_edges(3, [(0, 1)]))
-        assert m.diameter == math.inf
-        assert m.component_count == 2
+        G = graph_from_edges(3, [(0, 1)])
+        assert printed(G).diameter == math.inf
+        assert component_count(G.masks) == 2
 
     def test_clique_number_k23(self):
         edges = [(a, b) for a in (0, 1) for b in (2, 3, 4)]
-        m = graph_metrics(graph_from_edges(5, edges))
+        m = printed(graph_from_edges(5, edges))
         assert m.clique_number == 2
         assert not m.quadrilateral_free
 
@@ -127,8 +135,8 @@ def labelled_graphs(n):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(6, 9))
+def graphs(draw, sizes=st.integers(6, 9)):
+    n = draw(sizes)
     pairs = list(itertools.combinations(range(n), 2))
     density = draw(st.floats(0, 1))
     picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs),
@@ -137,9 +145,29 @@ def graphs(draw):
                                 if u < density])
 
 
+@st.composite
+def cycles_with_chords(draw):
+    """A cycle through vertices 0..k-1 of 10-40 vertices, and up to four
+    more edges, so that long girths are drawn too."""
+    n = draw(st.integers(10, 40))
+    k = draw(st.integers(3, n))
+    vertex = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), max_size=4))
+    return graph_from_edges(n, [(i, (i + 1) % k) for i in range(k)] + chords)
+
+
+def oracle_printed(m):
+    """The facts of the oracle record m that the graph commands print."""
+    return GraphMetrics(diameter=m.diameter, girth=m.girth,
+                        clique_number=m.clique_number,
+                        triangle_free=m.triangle_free,
+                        quadrilateral_free=m.quadrilateral_free)
+
+
 def assert_facts(G, m):
     """Each fact function, and each fact a shape computes alone, equals the
-    field of the oracle metrics m, without computing the full metrics."""
+    field of the oracle facts m; reading the others caches no girth."""
     masks = G.masks
     assert maximal_cliques(masks) == m.maximal_cliques
     assert tuple(eccentricity(masks, v) for v in range(G.n)) == m.eccentricity
@@ -151,8 +179,8 @@ def assert_facts(G, m):
     assert (s.maximal_cliques, s.clique_number, s.triangle_free,
             s.quadrilateral_free) == (m.maximal_cliques, m.clique_number,
                                       m.triangle_free, m.quadrilateral_free)
-    assert tuple(map(s.eccentricity, range(G.n))) == m.eccentricity
-    assert "metrics" not in s.__dict__
+    assert "girth" not in s.__dict__
+    assert s.girth == m.girth
 
 
 class TestOracle:
@@ -161,10 +189,11 @@ class TestOracle:
         for n in range(6):
             for G in labelled_graphs(n):
                 s = classify_shape(G)
-                assert "metrics" not in s.__dict__  # no tag reads them
+                assert "girth" not in s.__dict__  # no tag reads it
                 m = oracles.graph_metrics(G)
-                assert (s, s.metrics, s.acyclic) == (
-                    oracles.classify_shape(G), m, m.girth is None)
+                assert (s, graph_metrics(s), s.acyclic) == (
+                    oracles.classify_shape(G), oracle_printed(m),
+                    m.girth is None)
                 assert_facts(G, m)
                 count += 1
         assert count == 1 + 1 + 2 + 8 + 64 + 1024
@@ -174,9 +203,30 @@ class TestOracle:
     @given(graphs())
     def test_graphs_of_six_to_nine_vertices(self, G):
         s = classify_shape(G)
-        assert (s, s.metrics) == (oracles.classify_shape(G),
-                                  oracles.graph_metrics(G))
+        assert (s, graph_metrics(s)) == (
+            oracles.classify_shape(G), oracle_printed(oracles.graph_metrics(G)))
         assert_facts(G, oracles.graph_metrics(G))
+
+
+class TestGirth:
+    """girth against the edge-by-edge oracle, on graphs beyond the reach of
+    the subset-enumerating metrics oracle."""
+
+    def test_ring_graphs(self):
+        graphs_seen = 0
+        for _, R in harness.default_ring_corpus():
+            for shape in (ringlab.ring_zdgraph(R),
+                          ringlab.annihilating_ideal_graph(R)[0]):
+                G = shape.graph
+                assert girth(G.masks) == oracles.girth(G), shape
+                graphs_seen += 1
+        assert graphs_seen == 2 * 167
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(graphs(st.integers(10, 40)), cycles_with_chords()))
+    def test_graphs_of_ten_to_forty_vertices(self, G):
+        assert girth(G.masks) == oracles.girth(G)
 
 
 class TestShapes:
@@ -229,7 +279,7 @@ class TestShapes:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
         s = classify_shape(graph_from_edges(5, edges))
         assert s.tag == "cyclic"
-        assert s.metrics.girth == 4
+        assert s.girth == 4
 
 
 class TestDot:

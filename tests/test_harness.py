@@ -429,26 +429,28 @@ class TestGraphMetricsOnDemand:
     count, and each check computes only the graph facts it reads; the full
     metrics are computed only for the graph commands."""
 
-    def test_ring_catalog_computes_no_graph_metrics(self, monkeypatch):
+    def test_ring_catalog_computes_no_graph_metrics(self, monkeypatch,
+                                                    capsys):
         calls = []
         metrics = graphs.graph_metrics
         monkeypatch.setattr(graphs, "graph_metrics",
-                            lambda G: calls.append(G) or metrics(G))
+                            lambda shape: calls.append(shape) or metrics(shape))
         report = harness.run_catalog(
             harness.Corpus(rings=harness.default_ring_corpus()))
         assert not report.failures and calls == []
-        # the counter sees a read of the metrics
-        assert graphs.classify_shape(ZdGraph((1, 2), (2, 1))).metrics.girth \
-            is None and len(calls) == 1
+        # the counter sees the ring graph command's read of the metrics
+        assert main(["ring", "zdgraph", "zn:4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["girth"] is None \
+            and len(calls) == 1
 
     def test_posemiring_catalog_computes_no_graph_metrics(self, monkeypatch,
                                                           capsys):
         calls = []
         metrics = graphs.graph_metrics
 
-        def counting(G):
-            calls.append(G)
-            return metrics(G)
+        def counting(shape):
+            calls.append(shape)
+            return metrics(shape)
 
         monkeypatch.setattr(graphs, "graph_metrics", counting)
         monkeypatch.setattr(harness, "graph_metrics", counting)
