@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     ORDER_CAP,
@@ -18,8 +19,9 @@ from .core import (
     PoSemiringTable,
     StructureError,
     analyze_elements,
+    carries_tables,
     check_conditions,
-    find_isomorphism,
+    find_isomorphism,   # unused here: perfbench/spans.py traces this name
     is_idempotent,
     is_minimal_element,
     make_table,
@@ -119,8 +121,7 @@ def example_3_2(k: int) -> PoSemiringTable:
     """Chain 0 < a < b1 < ... < bk < 1 with max addition and min product
     except a*a = 0: the chain 0 < b1 < ... < bk < 1 with a adjoined."""
     _b_chain(k, "a")
-    return _adjoin(_table_from_ops(_b_chain(k), max, min), ("a",),
-                   low_add=[[1]], low_mul=[[0]])
+    return _adjoin(_table_from_ops(_b_chain(k), max, min), ("a",), *_NIL1)
 
 
 def example_4_6(k: int, u_square: str) -> PoSemiringTable:
@@ -132,7 +133,7 @@ def example_4_6(k: int, u_square: str) -> PoSemiringTable:
         raise DomainError(f"u_square must be zero/c/u, got {u_square!r}")
     u2 = ("zero", "c", "u").index(u_square)
     return _adjoin(_table_from_ops(_b_chain(k), max, min), ("c", "u"),
-                   low_add=[[1, 2], [2, 2]], low_mul=[[0, 0], [0, u2]])
+                   *_low_chain(u2))
 
 
 def example_4_7(k: int, pos: int) -> PoSemiringTable:
@@ -190,16 +191,37 @@ def _require_integral(A1: PoSemiringTable):
         raise DomainError("base instance is not integral")
 
 
+#: the low tables of one nilpotent c (c + c = c, c c = 0)
+_NIL1 = ([[1]], [[0]])
+
+
+def _low_chain(u2: int):
+    """The low tables of a chain c < u with cc = cu = 0 and uu = u2, given
+    as a new index: 0, 1 (c) or 2 (u)."""
+    return [[1, 2], [2, 2]], [[0, 0], [0, u2]]
+
+
+def _low_incomparable(a0: int):
+    """The low tables of idempotents c, u with cu = 0 and c + u = a0, given
+    as an index of the base."""
+    return [[1, a0 + 2], [a0 + 2, 2]], [[1, 0], [0, 2]]
+
+
 def _adjoin(A1: PoSemiringTable, low_names, low_add, low_mul) -> PoSemiringTable:
-    """A1 with s = len(low_names) new elements 1..s between its zero and its
-    nonzero elements, which move up by s.
+    """The table of _adjoin_rows, named and verified."""
+    add, mul = _adjoin_rows(A1, len(low_names), low_add, low_mul)
+    return _verified((A1.names[0], *low_names, *A1.names[1:]), add, mul)
+
+
+def _adjoin_rows(A1: PoSemiringTable, s: int, low_add, low_mul):
+    """The add and mul rows of A1 with s new elements 1..s between its zero
+    and its nonzero elements, which move up by s.
 
     low_add and low_mul are the s x s tables among the new elements, with
     values in the new indices.  A new l lies below every old nonzero y, so
     l + y = y, and l y = l; on the integral A1 the old products stay
     nonzero, so A1's rows embed shifted.
     """
-    s = len(low_names)
     n = _capped(A1.order + s)
     low, old = range(1, s + 1), range(s + 1, n)
 
@@ -212,13 +234,13 @@ def _adjoin(A1: PoSemiringTable, low_names, low_add, low_mul) -> PoSemiringTable
     mul = ([[0] * n]
            + [[0, *low_mul[l - 1], *[l] * len(old)] for l in low]
            + [[0, *low, *shifted(A1.mul[x - s])] for x in old])
-    return _verified((A1.names[0], *low_names, *A1.names[1:]), add, mul)
+    return add, mul
 
 
 def adjoin_z1(A1: PoSemiringTable) -> PoSemiringTable:
     """Insert a nilpotent c directly above 0; the result has Z = {c}."""
     _require_integral(A1)
-    return _adjoin(A1, ("z·c",), low_add=[[1]], low_mul=[[0]])
+    return _adjoin(A1, ("z·c",), *_NIL1)
 
 
 def _least_nonzero(A1: PoSemiringTable) -> int | None:
@@ -234,8 +256,7 @@ def adjoin_z2_incomparable(A1: PoSemiringTable) -> PoSemiringTable:
     a0 = _least_nonzero(A1)
     if a0 is None:
         raise DomainError("base instance has no least nonzero element")
-    return _adjoin(A1, ("z·c", "z·u"), low_add=[[1, a0 + 2], [a0 + 2, 2]],
-                   low_mul=[[1, 0], [0, 2]])
+    return _adjoin(A1, ("z·c", "z·u"), *_low_incomparable(a0))
 
 
 def adjoin_z2_chain(A1: PoSemiringTable, u_square: str) -> PoSemiringTable:
@@ -243,9 +264,7 @@ def adjoin_z2_chain(A1: PoSemiringTable, u_square: str) -> PoSemiringTable:
     _require_integral(A1)
     if u_square not in ("c", "u"):
         raise DomainError(f"u_square must be c or u, got {u_square!r}")
-    u2 = 1 if u_square == "c" else 2
-    return _adjoin(A1, ("z·c", "z·u"), low_add=[[1, 2], [2, 2]],
-                   low_mul=[[0, 0], [0, u2]])
+    return _adjoin(A1, ("z·c", "z·u"), *_low_chain(1 if u_square == "c" else 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +272,36 @@ def adjoin_z2_chain(A1: PoSemiringTable, u_square: str) -> PoSemiringTable:
 
 
 def sub_posemiring(A: PoSemiringTable, members, top: int):
-    """Re-index a closed subset (with multiplicative identity `top`) as an instance.
+    """Re-index a closed subset of a valid A, with identity top, as an instance.
 
-    Returns (table, old-to-new index map).
+    Returns (table, old-to-new index map), with 0 first, top last and the
+    other members ascending.  Raises ClosureError for the first sum or
+    product of two members that leaves the subset, in row-major order with
+    add before mul.
+
+    Precondition: A satisfies the axioms, members holds 0 and top, and top
+    is the identity of the subset: top x = x and x + top = top for every
+    member x.  The table is then valid and is not verified again: each
+    axiom is an identity in + and ., so it holds on a subset closed under
+    both, and the precondition puts the identity rows at 0 and at top.
     """
     members = set(members)
     ordered = [0] + sorted(members - {0, top}) + [top]
     index = {old: new for new, old in enumerate(ordered)}
+    at, new = itemgetter(*ordered), index.get
+    add, mul = [], []
     for x in ordered:
-        for y in ordered:
-            if A.add[x][y] not in members:
-                raise ClosureError((x, y, "add"))
-            if A.mul[x][y] not in members:
-                raise ClosureError((x, y, "mul"))
+        row_add = tuple(map(new, at(A.add[x])))
+        row_mul = tuple(map(new, at(A.mul[x])))
+        if None in row_add or None in row_mul:
+            y = next(y for y, pair in enumerate(zip(row_add, row_mul))
+                     if None in pair)
+            raise ClosureError((x, ordered[y],
+                                "add" if row_add[y] is None else "mul"))
+        add.append(row_add)
+        mul.append(row_mul)
     names = tuple(A.names[x] for x in ordered)
-    add = [[index[A.add[x][y]] for y in ordered] for x in ordered]
-    mul = [[index[A.mul[x][y]] for y in ordered] for x in ordered]
-    sub = make_table(len(ordered), names, add, mul)
-    verify_axioms(sub).require_valid("subset")
-    return sub, index
+    return PoSemiringTable(len(ordered), names, tuple(add), tuple(mul)), index
 
 
 @dataclass(frozen=True)
@@ -283,7 +313,7 @@ class Z1Decomposition:
 @dataclass(frozen=True)
 class Z2IncomparableDecomposition:
     a1: PoSemiringTable
-    a0: int                     # least nonzero element of a1 (a1 index)
+    a0: int                     # c + u, the least nonzero of a1 (a1 index)
     witness: tuple[int, ...]
 
 
@@ -352,12 +382,25 @@ def _prop45_conditions(A: PoSemiringTable, c: int, u: int, rest: list[int]) -> d
     return cond
 
 
-def _certified(A: PoSemiringTable, rebuilt: PoSemiringTable, what: str):
-    """An isomorphism of A onto rebuilt, the witness of a decomposition."""
-    perm = find_isomorphism(A, rebuilt)
-    if perm is None:
+def _checked_map(A: PoSemiringTable, phi, add, mul, what: str):
+    """phi as a tuple, once it carries both tables of A onto add and mul:
+    the witness of a decomposition whose rebuild has those rows."""
+    if not carries_tables(A, add, mul)(phi):
         raise StructureError(f"{what} rebuild is not isomorphic to the input")
-    return perm
+    return tuple(phi)
+
+
+def _adjoin_witness(A, a1, index, zs, low, what: str):
+    """The construction map of A onto a1 with zs adjoined by the low tables:
+    zs[i] goes to i + 1 and a nonzero x outside zs to index[x] + len(zs)."""
+    s = len(zs)
+    phi = [0] * A.order
+    for x, i in index.items():
+        if i:
+            phi[x] = i + s
+    for new, z in enumerate(zs, 1):
+        phi[z] = new
+    return _checked_map(A, phi, *_adjoin_rows(a1, s, *low), what)
 
 
 def recognize_small_z(A: PoSemiringTable):
@@ -365,7 +408,15 @@ def recognize_small_z(A: PoSemiringTable):
 
     Returns a decomposition with an isomorphism witness, or a Prop45Report
     for the |Z| = 2, Z^2 = 0 case.  Raises ClosureError if the complement of
-    Z(A) is not closed (which would falsify the structure theorems).
+    Z(A) is not closed (which would falsify the structure theorems), and
+    StructureError if the construction map is not an isomorphism onto the
+    rebuild.
+
+    A must be valid (sub_posemiring's precondition).  The witness is the
+    construction map, checked by one relabelling, not searched for: any
+    isomorphism of A onto the adjoin of a1 becomes this map once composed
+    with an automorphism of a1, which the adjoin extends, so the verdict is
+    the one a search would give.
     """
     zd = sorted(zero_divisors(A))
     if len(zd) not in (1, 2):
@@ -374,8 +425,8 @@ def recognize_small_z(A: PoSemiringTable):
     a1, index = sub_posemiring(A, rest, top=A.one)
 
     if len(zd) == 1:
-        return Z1Decomposition(
-            a1=a1, witness=_certified(A, adjoin_z1(a1), "adjoin_z1"))
+        return Z1Decomposition(a1=a1, witness=_adjoin_witness(
+            A, a1, index, zd, _NIL1, "adjoin_z1"))
 
     c, u = zd
     z_sq_zero = all(A.mul[x][y] == 0 for x in zd for y in zd)
@@ -387,19 +438,52 @@ def recognize_small_z(A: PoSemiringTable):
         if A.leq(u, c):
             c, u = u, c
         u_square = "c" if A.mul[u][u] == c else "u"
-        perm = _certified(A, adjoin_z2_chain(a1, u_square), "adjoin_z2_chain")
+        perm = _adjoin_witness(A, a1, index, (c, u),
+                               _low_chain(1 if u_square == "c" else 2),
+                               "adjoin_z2_chain")
         return Z2ChainDecomposition(a1=a1, u_square=u_square, witness=perm)
-    perm = _certified(A, adjoin_z2_incomparable(a1), "adjoin_z2_incomparable")
-    return Z2IncomparableDecomposition(a1=a1, a0=index[A.add[c][u]],
-                                       witness=perm)
+    a0 = index[A.add[c][u]]
+    perm = _adjoin_witness(A, a1, index, (c, u), _low_incomparable(a0),
+                           "adjoin_z2_incomparable")
+    return Z2IncomparableDecomposition(a1=a1, a0=a0, witness=perm)
+
+
+#: the add and mul rows of trivial(), the {0,1} factor
+_BOOL_ROWS = (((0, 1), (1, 1)), ((0, 0), (0, 1)))
+
+
+def _peirce_map(T: PoSemiringTable, e: int, f: int, index) -> list[int]:
+    """x -> ([xe != 0], index[xf]) for every x of T, at index
+    [xe != 0] * len(index) + index[xf] of {0,1} x fT, where index re-indexes
+    fT as sub_posemiring does.
+
+    When e and f are complementary orthogonal idempotents and e is minimal,
+    this is an isomorphism of T onto {0,1} x fT: eT = {0, e}, and
+    x = xe + xf splits T into eT x fT (Peirce decomposition)."""
+    return [(T.mul[x][e] != 0) * len(index) + index[T.mul[x][f]]
+            for x in T.elements()]
+
+
+def _boolean_times(T: PoSemiringTable, k: int):
+    """The add and mul rows of {0,1}^k x T, with (b, t) at b * T.order + t."""
+    add, mul = T.add, T.mul
+    for _ in range(k):
+        add = product_rows(_BOOL_ROWS[0], add)
+        mul = product_rows(_BOOL_ROWS[1], mul)
+    return add, mul
 
 
 def peel_boolean(A: PoSemiringTable) -> BooleanPeel:
-    """Repeatedly split off {0,1} factors at idempotent minimal elements."""
+    """Repeatedly split off {0,1} factors at idempotent minimal elements.
+
+    A must be valid (sub_posemiring's precondition).  The witness is the
+    composite of the Peirce maps of the splits, checked by one relabelling
+    against {0,1}^n x a1: the first split's bit is the most significant."""
     if not check_conditions(A).c3:
         raise NotApplicableError("condition (C3) does not hold")
     count = 0
     cur = A
+    phi = list(A.elements())    # A onto {0,1}^count x cur
     while cur.order > 2:
         e = next((x for x in cur.nonzero()
                   if is_idempotent(cur, x) and is_minimal_element(cur, x)), None)
@@ -409,17 +493,23 @@ def peel_boolean(A: PoSemiringTable) -> BooleanPeel:
         if f is None or f == 0:
             break
         # fA is the down-set of f: x <= f means x = xe + xf = xf, as xe <= fe = 0
-        cur, _ = sub_posemiring(cur, principal_ideal(cur, f), top=f)
+        sub, index = sub_posemiring(cur, principal_ideal(cur, f), top=f)
+        m, split = cur.order, _peirce_map(cur, e, f, index)
+        phi = [v - v % m + split[v % m] for v in phi]
+        cur = sub
         count += 1
     if count == 0:
         return BooleanPeel(n=0, a1=A, witness=tuple(A.elements()))
-    perm = _certified(A, direct_product(boolean_power(count), cur),
-                      "boolean peel")
+    perm = _checked_map(A, phi, *_boolean_times(cur, count), "boolean peel")
     return BooleanPeel(n=count, a1=cur, witness=perm)
 
 
 def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
-    """Split A = {0,1} x S when its graph is the two-star K1+K1+K1+D_r."""
+    """Split A = {0,1} x S when its graph is the two-star K1+K1+K1+D_r.
+
+    A must be valid (sub_posemiring's precondition).  The witness is the
+    Peirce map at the first split with |Z(S)| = 1, checked by one
+    relabelling against {0,1} x S."""
     if not check_conditions(A).c3:
         raise NotApplicableError("condition (C3) does not hold")
     shape = classify_shape(posemiring_zdgraph(A))
@@ -431,12 +521,12 @@ def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
         f = orthogonal_complement(A, e)
         if f in (None, 0):
             continue
-        s, _ = sub_posemiring(A, principal_ideal(A, f), top=f)   # down-set of f
+        s, index = sub_posemiring(A, principal_ideal(A, f), top=f)   # down-set of f
         if len(zero_divisors(s)) != 1:
             continue
-        perm = find_isomorphism(A, direct_product(trivial(), s))
-        if perm is not None:
-            return TwoStarSplit(s=s, r=s.order - 2, witness=perm)
+        phi = _peirce_map(A, e, f, index)
+        if carries_tables(A, *_boolean_times(s, 1))(phi):
+            return TwoStarSplit(s=s, r=s.order - 2, witness=tuple(phi))
     return None
 
 

@@ -110,13 +110,16 @@ def make_table(order, names, add, mul) -> PoSemiringTable:
 
 
 def _check_matrix(rows, order, label):
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    """rows as a tuple of int tuples, once they form an order x order table
+    with entries in [0, order).  The entries are checked as one set; a bad
+    entry is named by the first one in row-major order, found by a scan
+    only once the set check has failed."""
+    rows = tuple(tuple(map(int, row)) for row in rows)
     if len(rows) != order or any(len(r) != order for r in rows):
         raise StructureError(f"{label} table is not {order}x{order}")
-    for r in rows:
-        for v in r:
-            if not 0 <= v < order:
-                raise StructureError(f"{label} entry {v} out of range [0, {order})")
+    if not set().union(*rows) <= set(range(order)):
+        v = next(v for r in rows for v in r if not 0 <= v < order)
+        raise StructureError(f"{label} entry {v} out of range [0, {order})")
     return rows
 
 
@@ -647,19 +650,42 @@ def find_isomorphism(A: PoSemiringTable, B: PoSemiringTable):
     cands = [[b for b in irr_b if inv_b[b] == inv_a[x]] for x in irr]
     below = [[y for y in irr[:d] if down_a[x] >> y & 1]
              for d, x in enumerate(irr)]
-    rows_b = [bytes(add) + bytes(mul) for add, mul in zip(B.add, B.mul)]
-    pad = bytes(256 - n)
+    carries = carries_tables(A, B.add, B.mul)
     for phi in _irreducible_images(0, [0] * n, 0, irr, cands, below, down_b):
         for x, c1, c2 in joins:
             phi[x] = B.add[phi[c1]][phi[c2]]
-        if len(set(phi)) < n:
-            continue
-        back = bytes(sorted(range(n), key=phi.__getitem__)) + pad
-        gather = itemgetter(*phi, *[p + n for p in phi])
-        if all(gather(rows_b[p].translate(back)) == add + mul
-               for p, add, mul in zip(phi, A.add, A.mul)):
+        if carries(phi):
             return tuple(phi)
     return None
+
+
+def carries_tables(A: PoSemiringTable, add, mul):
+    """The test whether a list phi of indices carries both tables of A onto
+    the order-A.order tables add and mul: phi is a permutation of A's
+    indices fixing 0 and A.one, and add[phi x][phi y] = phi(A.add[x][y])
+    for all x, y, and likewise for mul.
+
+    A phi that passes is an isomorphism of A onto add and mul; when A is
+    valid, the tables add and mul are then valid too, as every axiom is
+    carried across with 0 and 1 in place.  Row phi(x) of add and mul,
+    renamed by phi^-1 with bytes.translate and gathered at phi with
+    operator.itemgetter, must equal row x of A; the test stops at the
+    first row that differs.
+    """
+    n = A.order
+    rows = [bytes(a) + bytes(m) for a, m in zip(add, mul)]
+    rows_a = [a + m for a, m in zip(A.add, A.mul)]
+    everyone, pad = list(range(n)), bytes(256 - n)
+
+    def carries(phi) -> bool:
+        if (len(rows) != n or sorted(phi) != everyone or phi[0] != 0
+                or phi[-1] != n - 1):
+            return False
+        back = bytes(sorted(everyone, key=phi.__getitem__)) + pad
+        gather = itemgetter(*phi, *[p + n for p in phi])
+        return all(gather(rows[p].translate(back)) == row
+                   for p, row in zip(phi, rows_a))
+    return carries
 
 
 # ---------------------------------------------------------------------------

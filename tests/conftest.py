@@ -1,5 +1,6 @@
 import pytest
 
+from posemiring import harness
 from posemiring.census import enumerate_posemirings
 
 
@@ -15,3 +16,10 @@ def census_instances(census):
     for n in sorted(census):
         out.extend(census[n].instances)
     return out
+
+
+@pytest.fixture(scope="session")
+def census7_and_grid():
+    """Every census class of order 2..7, then the construction grid."""
+    return ([A for n in range(2, 8) for A in enumerate_posemirings(n).instances]
+            + [A for _, A in harness.construction_grid().posemirings])

@@ -25,7 +25,9 @@ containing a set is a fixpoint of sums and products, and nilpotency takes
 every power; complements, primitive idempotents, (C1)-(C3) and primitive
 decompositions scan every pair of elements; the element analysis, the
 isomorphism invariants and the ideal flags test the order one pair at a
-time through A.leq.  Tests compare the package against them.
+time through A.leq; the decompositions verify every sub-instance and
+rebuild, search for their witness with find_isomorphism, and a witness is
+checked cell by cell.  Tests compare the package against them.
 """
 
 import functools
@@ -33,18 +35,21 @@ import hashlib
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from posemiring import census, harness
+from posemiring import census, core, harness
 from posemiring import constructions as cons
 from posemiring.census import _join_table, _mul_backtrack
 from posemiring.core import (
     AxiomReport,
+    ClosureError,
     ConditionReport,
     DomainError,
     ElementAnalysis,
     IdealSubset,
+    NotApplicableError,
     StructureError,
+    find_isomorphism,
     is_idempotent,
     is_prime_ideal,
     make_table,
@@ -546,6 +551,175 @@ def section4_bijections(n):
         want = {canonical_form(A) for A in kinds[kind]}
         out += [len(got), len(set(got)), len(want), len(want & set(got))]
     return tuple(out)
+
+
+def _verified_sub(A, members, top):
+    """constructions.sub_posemiring built the old way: the closure checked
+    cell by cell, then the tables through make_table and verify_axioms."""
+    members = set(members)
+    ordered = [0] + sorted(members - {0, top}) + [top]
+    index = {old: new for new, old in enumerate(ordered)}
+    for x in ordered:
+        for y in ordered:
+            for op, table in (("add", A.add), ("mul", A.mul)):
+                if table[x][y] not in members:
+                    raise ClosureError((x, y, op))
+    sub = make_table(len(ordered), [A.names[x] for x in ordered],
+                     *([[index[t[x][y]] for y in ordered] for x in ordered]
+                       for t in (A.add, A.mul)))
+    core.verify_axioms(sub).require_valid("subset")
+    return sub, index
+
+
+def _searched(A, rebuilt, what):
+    """An isomorphism of A onto rebuilt found by find_isomorphism."""
+    perm = find_isomorphism(A, rebuilt)
+    if perm is None:
+        raise StructureError(f"{what} rebuild is not isomorphic to the input")
+    return perm
+
+
+def small_z_reference(A):
+    """constructions.recognize_small_z built the old way: the base through
+    _verified_sub, the rebuild by the verifying adjoin constructors, and the
+    witness searched for by find_isomorphism."""
+    zd = sorted(core.zero_divisors(A))
+    if len(zd) not in (1, 2):
+        raise NotApplicableError(f"|Z(A)| = {len(zd)}, expected 1 or 2")
+    rest = [x for x in A.elements() if x not in zd]
+    a1, index = _verified_sub(A, rest, A.one)
+    if len(zd) == 1:
+        return cons.Z1Decomposition(
+            a1, _searched(A, cons.adjoin_z1(a1), "adjoin_z1"))
+    c, u = zd
+    if all(A.mul[x][y] == 0 for x in zd for y in zd):
+        if A.leq(u, c):
+            c, u = u, c
+        return cons.Prop45Report(a1, cons._prop45_conditions(A, c, u, rest))
+    if A.leq(c, u) or A.leq(u, c):
+        if A.leq(u, c):
+            c, u = u, c
+        u_square = "c" if A.mul[u][u] == c else "u"
+        return cons.Z2ChainDecomposition(a1, u_square, _searched(
+            A, cons.adjoin_z2_chain(a1, u_square), "adjoin_z2_chain"))
+    return cons.Z2IncomparableDecomposition(a1, index[A.add[c][u]], _searched(
+        A, cons.adjoin_z2_incomparable(a1), "adjoin_z2_incomparable"))
+
+
+def _idempotent_minimals(A):
+    return [x for x in A.nonzero()
+            if A.mul[x][x] == x and is_minimal_element(A, x)]
+
+
+def peel_boolean_reference(A):
+    """constructions.peel_boolean built the old way: each factor through
+    _verified_sub, the witness searched for by find_isomorphism against the
+    verified direct_product(boolean_power(n), a1)."""
+    if not core.check_conditions(A).c3:
+        raise NotApplicableError("condition (C3) does not hold")
+    count, cur = 0, A
+    while cur.order > 2 and (found := _idempotent_minimals(cur)):
+        f = core.orthogonal_complement(cur, found[0])
+        if not f:
+            break
+        cur, _ = _verified_sub(cur, set(cur.mul[f]), f)
+        count += 1
+    if count == 0:
+        return cons.BooleanPeel(0, A, tuple(A.elements()))
+    return cons.BooleanPeel(count, cur, _searched(
+        A, cons.direct_product(cons.boolean_power(count), cur), "boolean peel"))
+
+
+def split_two_star_reference(A):
+    """constructions.split_two_star built the old way: each factor through
+    _verified_sub, tried by find_isomorphism against {0,1} x S."""
+    if not core.check_conditions(A).c3:
+        raise NotApplicableError("condition (C3) does not hold")
+    shape = cons.classify_shape(cons.posemiring_zdgraph(A))
+    if shape.tag != "two-star" or shape.params[0] != 1:
+        raise NotApplicableError(f"shape is {shape.line()}, not K1+K1+K1+D_r")
+    for e in _idempotent_minimals(A):
+        f = core.orthogonal_complement(A, e)
+        if not f:
+            continue
+        s, _ = _verified_sub(A, set(A.mul[f]), f)
+        if len(core.zero_divisors(s)) != 1:
+            continue
+        perm = find_isomorphism(A, cons.direct_product(cons.trivial(), s))
+        if perm is not None:
+            return cons.TwoStarSplit(s, s.order - 2, perm)
+    return None
+
+
+def transports(phi, A, B) -> bool:
+    """phi is a bijection of A's indices onto B's that carries every sum
+    and product of A to the one of B, checked cell by cell."""
+    r = range(A.order)
+    return (sorted(phi) == list(range(B.order)) == list(r)
+            and all(phi[A.add[x][y]] == B.add[phi[x]][phi[y]]
+                    and phi[A.mul[x][y]] == B.mul[phi[x]][phi[y]]
+                    for x in r for y in r))
+
+
+def _rebuilt(A, result):
+    """The table a decomposition result says A is isomorphic to, by the
+    verifying public constructors."""
+    if isinstance(result, cons.Z1Decomposition):
+        return cons.adjoin_z1(result.a1)
+    if isinstance(result, cons.Z2ChainDecomposition):
+        return cons.adjoin_z2_chain(result.a1, result.u_square)
+    if isinstance(result, cons.Z2IncomparableDecomposition):
+        return cons.adjoin_z2_incomparable(result.a1)
+    if isinstance(result, cons.BooleanPeel):
+        return (cons.direct_product(cons.boolean_power(result.n), result.a1)
+                if result.n else A)
+    return cons.direct_product(cons.trivial(), result.s)
+
+
+#: each decomposition with the reference it must agree with
+DECOMPOSITIONS = ((cons.recognize_small_z, small_z_reference),
+                  (cons.peel_boolean, peel_boolean_reference),
+                  (cons.split_two_star, split_two_star_reference))
+
+
+def _outcome(decompose, A):
+    """What decompose(A) gives without its witness, and the result itself:
+    a raised error as (type name, message)."""
+    try:
+        result = decompose(A)
+    except (ClosureError, DomainError, NotApplicableError,
+            StructureError) as exc:
+        return (type(exc).__name__, str(exc)), None
+    if hasattr(result, "witness"):
+        return replace(result, witness=None), result
+    return result, None
+
+
+def decomposition_mismatches(instances):
+    """(applied, mismatches) over the three decompositions on each valid
+    instance: applied counts the runs the reference did not find
+    NotApplicable; a mismatch (name, instance) is a run whose result or
+    error differs from the reference's, apart from the witness, or whose
+    witness fails transports onto the rebuild of its result."""
+    applied, mismatches = 0, []
+    for A in instances:
+        for decompose, reference in DECOMPOSITIONS:
+            want, _ = _outcome(reference, A)
+            got, result = _outcome(decompose, A)
+            applied += not (isinstance(want, tuple)
+                            and want[0] == "NotApplicableError")
+            if got != want or result is not None and not transports(
+                    result.witness, A, _rebuilt(A, result)):
+                mismatches.append((decompose.__name__, A))
+    return applied, mismatches
+
+
+def decomposition_agreement(n):
+    """(applied, mismatched runs) of decomposition_mismatches over the
+    census classes of order n."""
+    applied, bad = decomposition_mismatches(
+        census.enumerate_posemirings(n).instances)
+    return applied, len(bad)
 
 
 def _swept_tables(n, fixed):

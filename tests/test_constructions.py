@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 
 import pytest
 
 import oracles
 from posemiring import constructions as cons
-from posemiring import harness
+from posemiring import core, harness
 from posemiring.census import enumerate_posemirings
 from posemiring.core import (
     ClosureError,
@@ -284,6 +285,100 @@ class TestDecompositions:
     def test_split_rejects_wrong_shape(self):
         with pytest.raises(NotApplicableError):
             cons.split_two_star(cons.example_2_6(2))
+
+
+class TestMapCertification:
+    """The decompositions check their construction map against the rebuild
+    instead of searching for an isomorphism; they must agree with the
+    references that verify every table and search (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_census_agrees_with_search_reference(self, n):
+        applied, mismatches = oracles.decomposition_mismatches(
+            enumerate_posemirings(n).instances)
+        assert mismatches == []
+        assert applied == (1, 2, 10, 24, 113, 613)[n - 2]
+
+    def test_grid_agrees_with_search_reference(self):
+        applied, mismatches = oracles.decomposition_mismatches(
+            [A for _, A in harness.construction_grid().posemirings])
+        assert (applied, mismatches) == (60, [])
+
+    def test_sub_instances_are_valid(self, monkeypatch, census7_and_grid):
+        built = []
+        sub_posemiring = cons.sub_posemiring
+
+        def recording(A, members, top):
+            sub, index = sub_posemiring(A, members, top)
+            built.append(sub)
+            return sub, index
+
+        monkeypatch.setattr(cons, "sub_posemiring", recording)
+        for A in census7_and_grid:
+            for decompose, _ in oracles.DECOMPOSITIONS:
+                try:
+                    decompose(A)
+                except NotApplicableError:
+                    pass
+        assert len(built) > 100
+        for sub in built:
+            assert verify_axioms(sub).valid
+            assert oracles.verify_axioms(sub).valid
+
+    def test_sub_posemiring_matches_reference(self, census7_and_grid):
+        # the down-set fA of every idempotent f
+        for A in census7_and_grid:
+            tops = [f for f in A.nonzero() if A.mul[f][f] == f]
+            for f in tops:
+                members = set(A.mul[f])
+                assert cons.sub_posemiring(A, members, f) == \
+                    oracles._verified_sub(A, members, f)
+
+    def test_closure_witness_order_matches_reference(self, census7_and_grid):
+        # row-major, add before mul, on the subsets {0, x, y, 1}; some fail
+        # at a cell where the sum and the product both leave the subset
+        failed = both = 0
+        for A in census7_and_grid:
+            for x, y in itertools.combinations(range(1, A.one), 2):
+                members = {0, x, y, A.one}
+                try:
+                    oracles._verified_sub(A, members, A.one)
+                    continue
+                except ClosureError as exc:
+                    want = exc.witness
+                except StructureError:      # closed, but 1 is no identity
+                    continue
+                with pytest.raises(ClosureError) as err:
+                    cons.sub_posemiring(A, members, A.one)
+                assert err.value.witness == want
+                failed += 1
+                both += A.mul[want[0]][want[1]] not in members
+        assert failed > 0 and both > 0
+
+    @pytest.mark.parametrize("spec", [
+        "product(bool:n=2,example-3.2:k=1)",
+        "product(bool:n=3,adjoin-z1(chain:k=1))",
+        "product(bool:n=2,adjoin-z2c(chain:k=1,u2=u))",
+        "product(trivial,example-3.2:k=3)",
+    ])
+    def test_products_agree_with_search_reference(self, spec):
+        # peels of two or three {0,1} factors above a base of order > 2,
+        # which no census class up to order 7 has, and a two-star split
+        A = cons.construct_from_text(spec)
+        assert oracles.decomposition_mismatches([A]) == (
+            2 if spec.startswith("product(trivial") else 1, [])
+
+    def test_failing_map_is_a_structure_error(self):
+        A = cons.adjoin_z2_incomparable(cons.chain_lattice(2))
+        c, u, b1 = 1, 2, 3
+        mul = [list(row) for row in A.mul]
+        mul[c][b1] = mul[b1][c] = u     # c b1 = c in any adjoin
+        bad = core.make_table(A.order, A.names, A.add, mul)
+        with pytest.raises(StructureError, match="^adjoin_z2_incomparable "
+                           "rebuild is not isomorphic to the input$"):
+            cons.recognize_small_z(bad)
+        assert oracles.small_z_reference(A).a0 == \
+            cons.recognize_small_z(A).a0 == 1
 
 
 class TestSpecGrammar:

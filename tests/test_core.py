@@ -38,12 +38,6 @@ from posemiring import constructions as cons
 from posemiring import core, harness, ringlab
 
 
-@pytest.fixture(scope="module")
-def census7_and_grid():
-    return ([A for n in range(2, 8) for A in enumerate_posemirings(n).instances]
-            + [A for _, A in harness.construction_grid().posemirings])
-
-
 def chain3_nilpotent():
     # 0 < a < 1 with a^2 = 0
     return make_table(3, ("0", "a", "1"),
@@ -73,6 +67,26 @@ class TestMakeTable:
     def test_rejects_duplicate_names(self):
         with pytest.raises(StructureError):
             make_table(2, ("x", "x"), [[0, 1], [1, 1]], [[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("label", ["add", "mul"])
+    @pytest.mark.parametrize("rows,bad", [
+        ([[0, 1], [1, 5]], 5),
+        ([[0, 2], [-1, 1]], 2),         # row-major: 2 comes before -1
+        ([[0, 1], [-1, 9]], -1),
+        ([[0, 1], [1.0, 256]], 256),
+    ])
+    def test_names_first_out_of_range_entry(self, label, rows, bad):
+        tables = {"add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]],
+                  label: rows}
+        with pytest.raises(StructureError) as err:
+            make_table(2, ("0", "1"), tables["add"], tables["mul"])
+        assert str(err.value) == f"{label} entry {bad} out of range [0, 2)"
+
+    def test_entries_become_ints(self):
+        A = make_table(2, ("0", "1"), [["0", 1.0], [True, 1]],
+                       [[0, 0], [0, "1"]])
+        assert (A.add, A.mul) == (((0, 1), (1, 1)), ((0, 0), (0, 1)))
+        assert all(type(v) is int for row in A.add + A.mul for v in row)
 
 
 class TestVerifyAxioms:
@@ -351,6 +365,25 @@ class TestIsomorphism:
     def test_witness_transports(self, census):
         for A in census[4].instances:
             self.assert_carries(find_isomorphism(A, A), A, A)
+
+    def test_carries_tables_accepts_only_isomorphisms(self):
+        # 0 < a < b < 1 relabelled by swapping a and b
+        A = cons.example_2_6(1)
+        B = self.relabelled(A, [0, 2, 1, 3])
+        carries = core.carries_tables(A, B.add, B.mul)
+        assert carries([0, 2, 1, 3]) and carries((0, 2, 1, 3))
+        assert core.carries_tables(A, A.add, A.mul)([0, 1, 2, 3])
+        for phi in ([0, 1, 2, 3],       # not an isomorphism onto B
+                    [0, 2, 2, 3],       # not a bijection
+                    [0, 2, 1], [0, 2, 1, 3, 4],
+                    [0, 2, 1, 7], [0, 2, 1, -1]):
+            assert not carries(phi)
+        # a map moving 0 or 1 fails even when the cells would match
+        T = cons.trivial()
+        swapped = core.carries_tables(T, [[1, 0], [0, 0]], [[1, 1], [1, 0]])
+        assert not swapped([1, 0])
+        # tables of another order
+        assert not core.carries_tables(A, T.add, T.mul)([0, 1, 2, 3])
 
     def test_relabeled_instance_is_isomorphic(self):
         A = cons.example_2_6(2)

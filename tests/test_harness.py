@@ -256,6 +256,27 @@ class TestSmallZOnce:
             "fail", witness=("closure", (1, 2, "mul")))
 
 
+class TestSmallZMapCheck:
+    def test_t42_fails_when_the_base_has_no_least_nonzero_element(self):
+        # not a po-semiring: Z(A) = {c, u} incomparable, the base
+        # {0, p, q, 1} has no least nonzero element, on which
+        # adjoin_z2_incomparable raises DomainError, and c p = u.  The
+        # rebuild takes a0 = c + u = 1 from A, so it needs no least
+        # element; the construction map fails, and T4.2 reports a fail.
+        base = make_table(4, ("0", "p", "q", "1"),
+                          [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3],
+                           [3, 3, 3, 3]],
+                          [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 2],
+                           [0, 1, 2, 3]])
+        add, mul = cons._adjoin_rows(base, 2, *cons._low_incomparable(3))
+        mul[1][3] = mul[3][1] = 2
+        A = make_table(6, ("0", "c", "u", "p", "q", "1"), add, mul)
+        assert sorted(core.zero_divisors(A)) == [1, 2]
+        assert harness.chk_t42(harness.Ctx(A)) == harness.CheckResult(
+            "fail", witness="adjoin_z2_incomparable rebuild is not "
+                            "isomorphic to the input")
+
+
 class TestNoCyclicGarbage:
     """A catalog run frees everything it allocates by reference counting."""
 
