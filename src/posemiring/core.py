@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import and_, eq, itemgetter, or_
 
 
@@ -494,36 +495,63 @@ def ideal_sum(A, I, J) -> frozenset[int]:
     return frozenset(out)
 
 
+#: _BITS[x] = 1 << x for every index a table can hold
+_BITS = tuple(1 << x for x in range(ORDER_CAP))
+
+
 def member_mask(members) -> int:
     """Distinct indices as an int with bit x set for each member x."""
-    return sum(map((1).__lshift__, members))
+    return sum(map(_BITS.__getitem__, members))
 
 
-def ideal_family(A) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
-    """Every ideal of a po-semiring or a ring, sorted by (size, members), and
-    the least generator of each principal one: the principal ideals closed
-    under pairwise sums.  A nested pair I in J is skipped: I + J = J."""
-    generator = {}
-    for x in reversed(A.elements()):
-        generator[principal_ideal(A, x)] = x
-    family = set(generator)
-    pending, done = [(I, member_mask(I)) for I in family], []
+def ideal_family(A) -> tuple[list[tuple[frozenset[int], int]],
+                             dict[int, int]]:
+    """Every ideal of a po-semiring or a ring as (members, mask), sorted by
+    (size, members), and the least generator of each principal one, keyed
+    by its mask: the principal ideals closed under pairwise sums.
+
+    (x) is the set of values of row x of mul.  Its complement as sorted
+    bytes is one translate of the row, so the elements are grouped by the
+    ideal they generate without a set per element.  A nested pair I in J
+    is not summed, as I + J = J, and neither are (x) and (y) when (x + y)
+    holds x and y, as (x) + (y) = (x + y) is then in the family already.
+    """
+    n, add, mul = A.order, A.add, A.mul
+    full = bytes(range(n))
+    complements = list(map(full.translate, repeat(None), map(bytes, mul)))
+    least = dict(zip(reversed(complements), reversed(range(n))))
+    keyed, generator = [], {}       # keyed: (size, members as bytes, ...)
+    for outside, x in least.items():
+        inside = full.translate(None, outside)
+        mask = member_mask(inside)
+        generator[mask] = x
+        keyed.append((n - len(outside), inside, frozenset(inside), mask))
+    pending = [(I, m, generator[m]) for _, _, I, m in keyed]
+    seen, done = set(generator), []
     while pending:
-        I, m = pending.pop()
-        for J, mj in done:
-            if m & mj not in (m, mj):
-                K = ideal_sum(A, I, J)
-                if K not in family:
-                    family.add(K)
-                    pending.append((K, member_mask(K)))
-        done.append((I, m))
-    return sorted(family, key=lambda m: (len(m), sorted(m))), generator
+        I, m, x = pending.pop()
+        for J, mj, y in done:
+            if m & mj in (m, mj):
+                continue
+            if x is not None and y is not None:
+                z = mul[add[x][y]]
+                if x in z and y in z:
+                    continue
+            K = ideal_sum(A, I, J)
+            mk = member_mask(K)
+            if mk not in seen:
+                seen.add(mk)
+                keyed.append((len(K), bytes(sorted(K)), K, mk))
+                pending.append((K, mk, None))
+        done.append((I, m, x))
+    keyed.sort()
+    return [(I, m) for _, _, I, m in keyed], generator
 
 
 def enumerate_ideals(A: PoSemiringTable) -> list[IdealSubset]:
     """All ideals, flagged, in ideal_family's order."""
     down = order_index(A.add)[1]
-    return [_flag_ideal(A, m, down) for m in ideal_family(A)[0]]
+    return [_flag_ideal(A, m, down) for m, _ in ideal_family(A)[0]]
 
 
 # ---------------------------------------------------------------------------

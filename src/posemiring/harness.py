@@ -28,7 +28,6 @@ from .core import (
     is_prime_ideal,
     orthogonal_complement,
     primitive_decomposition,
-    principal_ideal,
     verify_axioms,
     zero_divisors,
 )
@@ -509,9 +508,10 @@ def chk_c44(rctx):
     local = len(R.maximal_ideals) == 1
     nontrivial = len(R.ideals) - 2
     cond1 = two_fields or (local and nontrivial == 2)
+    # for a in J, (a) = J when |(a)| = |R| / |Ann(a)| is |J|
     jac = rctx.rad.jacobson.members
     alpha_ok = any(
-        principal_ideal(R, a) == jac
+        R.order // R.mul[a].count(0) == len(jac)
         and _ring_power(R, a, 3) == 0 and _ring_power(R, a, 2) != 0
         for a in jac)
     cond3 = two_fields or (local and alpha_ok)
@@ -620,6 +620,10 @@ def _checks():
 CATALOG = _checks()
 CHECK_IDS = tuple(c.id for c in CATALOG)
 _BY_ID = {c.id: c for c in CATALOG}
+#: each scope's positions in CATALOG; run_catalog reads the checks at these
+#: positions when it runs, as a tracer may replace the entries in place
+_SCOPE_AT = {scope: [k for k, c in enumerate(CATALOG) if c.scope == scope]
+             for scope in ("posemiring", "product-pair", "ring")}
 
 
 # ---------------------------------------------------------------------------
@@ -677,22 +681,28 @@ def run_catalog(corpus: Corpus, check_ids=None) -> TheoremReport:
         unknown = set(check_ids) - set(CHECK_IDS)
         if unknown:
             raise StructureError(f"unknown check ids {sorted(unknown)}")
-    scoped = {scope: [c for c in CATALOG if c.scope == scope
-                      and (check_ids is None or c.id in check_ids)]
-              for scope in ("posemiring", "product-pair", "ring")}
+
+    def scoped(scope):
+        return [CATALOG[k] for k in _SCOPE_AT[scope]
+                if check_ids is None or CATALOG[k].id in check_ids]
 
     for iid, A in corpus.posemirings:
         verify_axioms(A).require_valid(f"corpus instance {iid}")
 
     results = []
-    for iid, A in corpus.posemirings:
-        results += _run(scoped["posemiring"], iid, Ctx(A))
-    base = cache(Ctx)
-    for iid, a, b in corpus.pairs:
-        results += _run(scoped["product-pair"], iid, base(a), base(b),
-                        Ctx(cons.direct_product(a, b)))
-    for iid, R in corpus.rings:
-        results += _run(scoped["ring"], iid, RingCtx(R))
+    if corpus.posemirings:
+        checks = scoped("posemiring")
+        for iid, A in corpus.posemirings:
+            results += _run(checks, iid, Ctx(A))
+    if corpus.pairs:
+        checks, base = scoped("product-pair"), cache(Ctx)
+        for iid, a, b in corpus.pairs:
+            results += _run(checks, iid, base(a), base(b),
+                            Ctx(cons.direct_product(a, b)))
+    if corpus.rings:
+        checks = scoped("ring")
+        for iid, R in corpus.rings:
+            results += _run(checks, iid, RingCtx(R))
     results.sort(key=lambda row: (row[0], row[1]))
     return TheoremReport(results=results)
 

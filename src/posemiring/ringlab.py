@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_, eq, not_
 
 from .core import (
     ORDER_CAP,
@@ -19,7 +21,6 @@ from .core import (
     distributive_witness,
     ideal_family,
     member_mask,
-    principal_ideal,
     product_rows,
     read_table_text,
     row_witness,
@@ -34,10 +35,11 @@ ZPX_PRIME_CAP = 13
 
 @dataclass(frozen=True)
 class FiniteRing:
+    """A finite commutative ring; add[x] and mul[x] are the bytes rows of x."""
     order: int
     names: tuple[str, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    add: tuple[bytes, ...]
+    mul: tuple[bytes, ...]
     one: int
 
     def elements(self):
@@ -60,6 +62,7 @@ class FiniteRing:
 @dataclass(frozen=True)
 class Ideal:
     members: frozenset[int]
+    mask: int                   # bit x set for each member x
     generators: tuple[int, ...] = ()
 
 
@@ -97,10 +100,10 @@ def _check_ring(R: FiniteRing):
 
 
 def _make_ring(order, names, add, mul, one) -> FiniteRing:
-    """The ring on these rows, unchecked; parse_ring_file checks a file's."""
-    return FiniteRing(order=order, names=tuple(names),
-                      add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)),
-                      one=one)
+    """The ring on these bytes rows, unchecked; parse_ring_file checks a
+    file's."""
+    return FiniteRing(order=order, names=tuple(names), add=tuple(add),
+                      mul=tuple(mul), one=one)
 
 
 def _zn_rows(n: int) -> tuple[list[bytes], list[bytes]]:
@@ -141,7 +144,9 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
     law-checked.  The additive group is Z_p x Z_p.  Multiplication by
     u = a + b*x sends c + d*x to c*u + d*(u*x), where u*x = -b*c0 +
     (a - b*c1)*x, so u's row joins, for each multiple c*u, the multiples
-    d*(u*x) translated by row c*u of the add table.
+    d*(u*x) translated by row c*u of the add table.  Row v of the
+    componentwise product on Z_p x Z_p holds t*v at index t*p + t, so the
+    multiples 0, v, ..., (p-1)v of v are that row's diagonal.
     """
     _check_zpx_modulus(p)
     c1, c0 = c1 % p, c0 % p
@@ -149,17 +154,13 @@ def ring_quadratic(p: int, c1: int, c0: int) -> FiniteRing:
     zadd, zmul = _zn_rows(p)
     add = product_rows(zadd, zadd)
     maps = [row + bytes(256 - n) for row in add]
-
-    def multiples(v):           # the indices of 0, v, 2v, ..., (p-1)v
-        a, b = divmod(v, p)
-        return bytes(i * p + j for i, j in zip(zmul[a], zmul[b]))
-
+    multiples = [row[::p + 1] for row in product_rows(zmul, zmul)]
     mul = []
     for u in range(n):
         a, b = divmod(u, p)
-        ux = multiples(-b * c0 % p * p + (a - b * c1) % p)
+        ux = multiples[-b * c0 % p * p + (a - b * c1) % p]
         mul.append(b"".join([ux.translate(maps[cu])
-                             for cu in multiples(u)]))
+                             for cu in multiples[u]]))
     names = []
     for a in range(p):
         for b in range(p):
@@ -193,8 +194,8 @@ def parse_ring_file(text: str) -> FiniteRing:
         raise StructureError("malformed names line")
     if not 0 <= one < order:
         raise StructureError("identity index out of range")
-    R = _make_ring(order, names, _check_matrix(add, order, "add"),
-                   _check_matrix(mul, order, "mul"), one=one)
+    R = _make_ring(order, names, map(bytes, _check_matrix(add, order, "add")),
+                   map(bytes, _check_matrix(mul, order, "mul")), one=one)
     _check_ring(R)
     return R
 
@@ -273,8 +274,9 @@ def enumerate_ring_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     if R.order > ORDER_CAP:
         raise DomainError(f"ring order {R.order} exceeds cap {ORDER_CAP}")
     family, generator = ideal_family(R)
-    return tuple(Ideal(members=m, generators=(generator[m],) if m in generator
-                       else ()) for m in family)
+    return tuple(Ideal(members=m, mask=mask,
+                       generators=(generator[mask],) if mask in generator
+                       else ()) for m, mask in family)
 
 
 def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
@@ -286,13 +288,14 @@ def ideal_name(R: FiniteRing, ideal: Ideal) -> str:
 def ideal_semiring(R: FiniteRing):
     """The po-semiring I(R): ideal sum, ideal product, ordered by inclusion.
 
-    I + J and IJ are the least ideals containing I | J and all products ij.
-    Ideals are bit masks over R.  The product of principal ideals (g)(h) is
-    the principal ideal (gh), found from the mask of row gh.  Every ideal is
-    the sum of the maximal principal ideals inside it, so any other IJ is
-    the least ideal containing every gh, with g and h the least generators
-    of those inside I and inside J.  Returns (table, ideals) with ideals[i]
-    the ideal at table index i.
+    Ideals are subgroups of the additive group, so |I + J| = |I| |J| /
+    |I & J|, and (x), the image of r -> xr, has |R| / |Ann(x)| elements,
+    where Ann(x) is the zeros of row x.  So I + J is the one ideal of its
+    size that covers I | J, and (gh) the one ideal of its size that holds
+    gh; each is looked up among the ideals of that size by bit mask.
+    (g)(h) = (gh), and as every ideal is the sum of the principal ideals
+    inside it, IJ is the sum of the (g)(h) over those in I and in J.
+    Returns (table, ideals) with ideals[i] the ideal at table index i.
     """
     ideals = R.ideals
     k = len(ideals)
@@ -304,46 +307,58 @@ def ideal_semiring(R: FiniteRing):
         while nm in names:
             nm += "'"
         names.append(nm)
-    masks = [member_mask(i.members) for i in ideals]
-    position = {m: pos for pos, m in enumerate(masks)}
-    at = {i.generators[0]: pos for pos, i in enumerate(ideals)
-          if i.generators}          # at[x]: the position of (x), once found
-    principal = [(masks[pos], g) for g, pos in at.items()]
-    gens = []
-    for m, ideal in zip(masks, ideals):
-        if ideal.generators:
-            gens.append(ideal.generators)
-            continue
-        inside = [(p, g) for p, g in principal if p & m == p]
-        gens.append(tuple(g for p, g in inside
-                          if not any(p & q == p != q for q, _ in inside)))
-
-    def least(mask, start=0):   # ideals ascend by size: the first is the least
-        return next(pos for pos in range(start, k)
-                    if mask & masks[pos] == mask)
-
-    def principal_at(x):
-        if x not in at:
-            at[x] = position[member_mask(principal_ideal(R, x))]
-        return at[x]
-
+    n, mul = R.order, R.mul
+    masks = [i.mask for i in ideals]
+    sizes = [len(i.members) for i in ideals]
+    of_size = {}
+    for pos, size in enumerate(sizes):
+        of_size.setdefault(size, []).append(pos)
     add = [[0] * k for _ in range(k)]
-    mul = [[0] * k for _ in range(k)]
-    for a in range(k):
-        ga = gens[a]
-        for b in range(a, k):   # I + J contains J, so it is listed from b on
-            gb = gens[b]
-            add[a][b] = add[b][a] = least(masks[a] | masks[b], b)
-            if ideals[a].generators and ideals[b].generators:
-                mul[a][b] = mul[b][a] = principal_at(R.mul[ga[0]][gb[0]])
-            else:
-                mul[a][b] = mul[b][a] = least(member_mask(
-                    {R.mul[g][h] for g in ga for h in gb}))
+    for a, (ma, sa) in enumerate(zip(masks, sizes)):
+        add[a][a] = a
+        for b in range(a + 1, k):   # ideals ascend by size: J is not in I
+            mb = masks[b]
+            if ma & mb == ma:
+                add[a][b] = add[b][a] = b
+                continue
+            m = ma | mb
+            for c in of_size[sa * sizes[b] // (ma & mb).bit_count()]:
+                if masks[c] & m == m:
+                    add[a][b] = add[b][a] = c
+                    break
+
+    principal = [p for p, i in enumerate(ideals) if i.generators]
+    gens = bytes(ideals[p].generators[0] for p in principal)
+    pad = bytes(256 - n)
+    rows = [gens.translate(mul[g] + pad) for g in gens]
+    where = bytearray(256)      # where[gh]: the position of (gh)
+    for x in set(b"".join(rows)):
+        for c in of_size[n // mul[x].count(0)]:
+            if masks[c] >> x & 1:
+                where[x] = c
+                break
+    times = [row.translate(where) for row in rows]
+    if len(principal) < k:      # IJ: the (g)(h) summed over (g) in I, (h) in J
+        column = {p: j for j, p in enumerate(principal)}
+        parts = [[column[a]] if a in column else
+                 [j for j, p in enumerate(principal)
+                  if masks[p] & m == masks[p]] for a, m in enumerate(masks)]
+
+        def total(positions):   # the sum of the ideals at these positions
+            c = 0
+            for p in positions:
+                c = add[c][p]
+            return c
+
+        half = [[total(times[i][j] for i in parts[a])
+                 for j in range(len(principal))] for a in range(k)]
+        times = [[total(row[j] for j in parts[b]) for b in range(k)]
+                 for row in half]
     # every entry is a position below k <= IDEAL_COUNT_CAP and the names
     # are distinct, so make_table's checks hold by construction
     table = PoSemiringTable(order=k, names=tuple(names),
                             add=tuple(map(tuple, add)),
-                            mul=tuple(map(tuple, mul)))
+                            mul=tuple(map(tuple, times)))
     verify_axioms(table).require_valid("I(R)")
     return table, ideals
 
@@ -375,27 +390,35 @@ def nilpotents(R: FiniteRing) -> frozenset[int]:
 
     A nilpotent x of index m gives the strict chain R > (x) > ... > (x^m) = 0
     of additive subgroups, each of index at least 2, so m <= log2 |R|.
+    Squaring is one translate through the diagonal of the mul table.
     """
-    square = [row[x] for x, row in enumerate(R.mul)]
-    power = list(R.elements())
-    for _ in range((R.order.bit_length() - 2).bit_length()):
-        power = [square[v] for v in power]
-    return frozenset(x for x, v in enumerate(power) if v == 0)
+    n = R.order
+    square = _squares(R) + bytes(256 - n)
+    power = bytes(range(n))
+    for _ in range((n.bit_length() - 2).bit_length()):
+        power = power.translate(square)
+    return frozenset(compress(range(n), map(not_, power)))
+
+
+def _squares(R: FiniteRing) -> bytes:
+    """x^2 for each x: the diagonal of the mul table."""
+    return b"".join(R.mul)[::R.order + 1]
 
 
 def maximal_ideals(R: FiniteRing) -> tuple[Ideal, ...]:
     """The proper ideals below no other; callers read the cached
     ``R.maximal_ideals`` instead of scanning again."""
-    proper = [i for i in R.ideals if len(i.members) < R.order]
-    return tuple(i for i in proper
-                 if not any(i.members < j.members for j in proper))
+    proper = R.ideals[:-1]      # ideals ascend by size, and R is last
+    return tuple(i for k, i in enumerate(proper)
+                 if not any(i.mask & j.mask == i.mask for j in proper[k + 1:]))
 
 
 def radicals(R: FiniteRing) -> RadicalReport:
-    nil = nilpotents(R)
-    jac = frozenset.intersection(*(m.members for m in R.maximal_ideals))
-    idem = frozenset(x for x in R.elements() if R.mul[x][x] == x)
-    ideal = {i.members: i for i in R.ideals}       # N and J are ideals of R
+    nil = member_mask(nilpotents(R))
+    jac = reduce(and_, (m.mask for m in R.maximal_ideals))
+    idem = frozenset(compress(R.elements(), map(eq, _squares(R),
+                                                R.elements())))
+    ideal = {i.mask: i for i in R.ideals}       # N and J are ideals of R
     return RadicalReport(nilradical=ideal[nil], jacobson=ideal[jac],
                          idempotents=idem)
 

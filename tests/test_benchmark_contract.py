@@ -94,3 +94,21 @@ def test_traced_catalog_counts_every_decomposition():
     assert report.counts["fail"] == 0
     assert sum(span[0] == "constructions.decompose"
                for span in tracer.spans) == 210
+
+
+def test_traced_ring_catalog_times_every_ring_check():
+    # the tracer replaces the CATALOG entries in place, so run_catalog must
+    # read its checks from CATALOG when it runs, not from a copy made earlier
+    keys = {key for _, _, keys in spans.CALLS for key in keys}
+    lib = SimpleNamespace(**{key: importlib.import_module(f"posemiring.{key}")
+                             for key in keys})
+    corpus = lib.harness.Corpus(rings=[("zn:12", lib.ringlab.ring_zn(12))])
+    tracer = spans.Tracer()
+    tracer.install(lib)
+    try:
+        lib.harness.run_catalog(corpus)
+    finally:
+        tracer.uninstall()
+    ring_checks = {f"harness.check.{check.id}" for check in lib.harness.CATALOG
+                   if check.scope == "ring"}
+    assert ring_checks == {span[0] for span in tracer.spans} & ring_checks

@@ -312,6 +312,20 @@ class TestReports:
                [(c, i, r.status) for c, i, r in r2.results]
         assert r1.results[0][:2] == ("P2.13", "a")
 
+    @pytest.mark.parametrize("ids", [
+        [], ["P2.1a"], ["T2.3", "L4.1b", "P4.8"], ["L3.3b"],
+        ["L3.3a", "T3.5b-conv"], ["C4.4"], ["Prop1.2", "C2.5", "C2.8"],
+        ["P2.13", "L3.3c"], ["T2.7", "C2.8"], ["L3.3a", "C4.4"],
+        ["P2.16", "T3.5b-conv", "Prop1.2"], list(harness.CHECK_IDS)])
+    def test_selected_ids_give_the_full_report_filtered(self, ids):
+        corpus = harness.census_corpus(4)
+        corpus.pairs = harness.census_pairs()
+        corpus.rings = [(spec, ringlab.make_ring(spec))
+                        for spec in ("zn:12", "zpx:2:0:0", "prod(zn:2,zn:4)")]
+        full = harness.run_catalog(corpus).results
+        assert harness.run_catalog(corpus, ids).results == \
+            [row for row in full if row[0] in ids]
+
     def test_json_schema(self):
         corpus = single_instance_corpus("t", cons.trivial())
         report = harness.run_catalog(corpus, check_ids=["P2.1a"])

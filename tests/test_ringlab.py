@@ -68,6 +68,11 @@ def monomial_ring_text(p, basis):
     return "\n".join(lines) + "\n"
 
 
+def rows_as_tuples(R):
+    """R's (add, mul) bytes rows as int tuples, the oracles' form."""
+    return tuple(map(tuple, R.add)), tuple(map(tuple, R.mul))
+
+
 MAXIMAL_SQUARE_ZERO = ((0, 0), (1, 0), (0, 1))      # F_p[x,y]/(x^2,xy,y^2)
 DUAL_SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))      # F_p[x,y]/(x^2,y^2)
 
@@ -89,7 +94,7 @@ class TestRingConstruction:
     def test_zn_matches_oracle(self):
         for n in (*range(2, 65), 210, 255, ORDER_CAP):
             R = ringlab.ring_zn(n)
-            assert (R.add, R.mul) == tuple(
+            assert rows_as_tuples(R) == tuple(
                 tuple(map(tuple, op)) for op in oracles.zn_tables(n)), n
 
     def test_quadratic_field(self):
@@ -125,7 +130,7 @@ class TestRingConstruction:
                   for c0 in (0, 1)]
         for p, c1, c0 in cases:
             R = ringlab.ring_quadratic(p, c1, c0)
-            assert (R.add, R.mul) == tuple(
+            assert rows_as_tuples(R) == tuple(
                 tuple(map(tuple, op))
                 for op in oracles.quadratic_tables(p, c1, c0)), (p, c1, c0)
 
@@ -415,6 +420,48 @@ class TestIdealLayerOracles:
         assert_ideal_layer_matches_oracles(R)
 
 
+def group_fact_rings():
+    """rings:default, and the monomial rings whose maximal ideal is not
+    principal, as (label, ring)."""
+    return harness.default_ring_corpus() + [
+        ((p, basis), ringlab.parse_ring_file(monomial_ring_text(p, basis)))
+        for p in (2, 3) for basis in (MAXIMAL_SQUARE_ZERO, DUAL_SQUARE)]
+
+
+class TestAdditiveGroupFacts:
+    """The two sizes I(R) is built from, on the oracles' (x) and I + J:
+    |(x)| |Ann(x)| = |R|, and |I + J| |I & J| = |I| |J|."""
+
+    def test_principal_ideal_size(self):
+        for label, R in group_fact_rings():
+            for x in R.elements():
+                ann = sum(1 for r in R.elements() if R.mul[x][r] == 0)
+                assert len(oracles.principal_ideal(R, x)) * ann == R.order, \
+                    (label, x)
+
+    def test_ideal_sum_size(self):
+        for label, R in group_fact_rings():
+            ideals = [i.members for i in R.ideals]
+            for I, J in itertools.combinations_with_replacement(ideals, 2):
+                K = oracles._ideal_sum(R, I, J)
+                assert len(K) * len(I & J) == len(I) * len(J), (label, I, J)
+
+
+def test_ideal_semiring_of_a_product_is_the_product():
+    """I(R x S) is isomorphic to I(R) x I(S), on every product ring of
+    rings:default."""
+    products = [spec for spec, _ in harness.default_ring_corpus()
+                if spec.startswith("prod(")]
+    assert len(products) == 66
+    for spec in products:
+        left, right = core.split_top_level(spec[len("prod("):-1])
+        factors = [ringlab.ideal_semiring(ringlab.make_ring(f))[0]
+                   for f in (left, right)]
+        table, _ = ringlab.ideal_semiring(ringlab.make_ring(spec))
+        assert find_isomorphism(table, cons.direct_product(*factors)) \
+            is not None, spec
+
+
 ring_trees = st.recursive(
     st.one_of(st.integers(2, 32).map(lambda n: ("zn", n)),
               st.tuples(st.just("zpx"), st.sampled_from((2, 3, 5)),
@@ -446,8 +493,8 @@ def tree_tables(t):
 @given(ring_trees.filter(lambda t: tree_order(t) <= ORDER_CAP))
 def test_product_rings_match_oracles(tree):
     R = ringlab.make_ring(tree_spec(tree))
-    assert (R.add, R.mul) == tuple(tuple(map(tuple, op))
-                                   for op in tree_tables(tree))
+    assert rows_as_tuples(R) == tuple(tuple(map(tuple, op))
+                                      for op in tree_tables(tree))
     assert_ideal_layer_matches_oracles(R)
 
 
