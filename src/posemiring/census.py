@@ -25,6 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
+    VALID,
     DomainError,
     PoSemiringTable,
     lower_covers,
@@ -95,11 +96,16 @@ def _key_and_aut(A: PoSemiringTable):
 
 def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
     """The representatives with these canonical keys, built without
-    re-checks: the census makes its keys from valid tables."""
+    re-checks: the census makes its keys from valid tables (_fast_census
+    says why they are valid), so each is born with the valid axiom report
+    and verify_axioms never runs the kernel on it."""
     names = _generic_names(n)
     rows = [tuple(zip(*[iter(key)] * n)) for key in keys]
-    return [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
+    reps = [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
             for r in rows]
+    for A in reps:
+        object.__setattr__(A, "axioms", VALID)  # frozen: set as dataclasses do
+    return reps
 
 
 def _linear_posets(n: int, below=(frozenset(),)):

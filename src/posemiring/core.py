@@ -64,15 +64,6 @@ class PoSemiringTable:
     def lt(self, x: int, y: int) -> bool:
         return x != y and self.add[x][y] == y
 
-    def power(self, x: int, k: int) -> int:
-        p = self.one
-        for _ in range(k):
-            p = self.mul[p][x]
-        return p
-
-    def name(self, x: int) -> str:
-        return self.names[x]
-
     @cached_property
     def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """splits[x]: every (w, v) of idempotents with wv = 0 and w + v = x,
@@ -86,6 +77,11 @@ class PoSemiringTable:
                 if mul_w[v] == 0:
                     found[add_w[v]].append((w, v))
         return tuple(map(tuple, found))
+
+    @cached_property
+    def axioms(self) -> AxiomReport:
+        """The axiom report, computed once; read by verify_axioms."""
+        return _axiom_report(self)
 
     @cached_property
     def conditions(self) -> ConditionReport:
@@ -175,8 +171,18 @@ AXIOM_IDS = (
 def verify_axioms(A: PoSemiringTable) -> AxiomReport:
     """Check the reduced axiom list, reporting the first witness per axiom.
 
-    A witness is the lexicographically least failing argument tuple.
+    A witness is the lexicographically least failing argument tuple.  The
+    report is A.axioms: each table is checked once, on its first call.
     """
+    return A.axioms
+
+
+#: the report of a table satisfying every axiom
+VALID = AxiomReport(valid=True, violations=())
+
+
+def _axiom_report(A: PoSemiringTable) -> AxiomReport:
+    """The byte-row kernel behind verify_axioms."""
     n, one = A.order, A.one
     add, mul = ByteTable(A.add), ByteTable(A.mul)
     identity = bytes(range(n))
@@ -192,7 +198,9 @@ def verify_axioms(A: PoSemiringTable) -> AxiomReport:
         ("distributive", distributive_witness(add, mul)),
     )
     violations = tuple((axiom, w) for axiom, w in found if w is not None)
-    return AxiomReport(valid=not violations, violations=violations)
+    if violations:
+        return AxiomReport(valid=False, violations=violations)
+    return VALID
 
 
 # Byte-row kernel for the table laws.  Every index is below ORDER_CAP = 256,

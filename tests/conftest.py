@@ -1,6 +1,6 @@
 import pytest
 
-from posemiring import harness
+from posemiring import core, harness
 from posemiring.census import enumerate_posemirings
 
 
@@ -16,6 +16,16 @@ def census_instances(census):
     for n in sorted(census):
         out.extend(census[n].instances)
     return out
+
+
+@pytest.fixture
+def axiom_kernel_calls(monkeypatch):
+    """The tables the axiom kernel runs on during one test, in order."""
+    calls = []
+    kernel = core._axiom_report
+    monkeypatch.setattr(core, "_axiom_report",
+                        lambda A: calls.append(A) or kernel(A))
+    return calls
 
 
 @pytest.fixture(scope="session")

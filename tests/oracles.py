@@ -1141,7 +1141,7 @@ def chk_t22_tail(ctx):
             continue
         found = False
         for k in range(1, A.order + 1):
-            p = A.power(c, k)
+            p = functools.reduce(lambda q, _: A.mul[q][c], range(k), A.one)
             if any(A.mul[p][e] == p for e in complemented):
                 found = True
                 break

@@ -341,6 +341,19 @@ class TestTheorems:
         assert code == 0
         assert "fail=0" in out.splitlines()[-1]
 
+    def test_files_corpus_verifies_each_file_once(
+            self, tmp_path, capsys, monkeypatch, axiom_kernel_calls):
+        for i, A in enumerate([cons.trivial(), cons.boolean_power(2),
+                               cons.example_3_2(2)]):
+            write_psr(tmp_path, f"{i}.psr", A)
+        parsed, read = [], cli._read_psr
+        monkeypatch.setattr(
+            cli, "_read_psr", lambda p: parsed.append(read(p)) or parsed[-1])
+        code, _, _ = run(capsys, "theorems", "--corpus", f"files:{tmp_path}")
+        assert code == 0 and len(parsed) == 3
+        checked = Counter(map(id, axiom_kernel_calls))
+        assert [checked[id(A)] for A in parsed] == [1, 1, 1]
+
     def test_census6_verdict_counts(self, capsys):
         code, out, _ = run(capsys, "theorems", "--corpus", "census:6",
                            "--report", "json")

@@ -112,6 +112,18 @@ class TestVerifyAxioms:
         report = verify_axioms(B)
         assert "mul-commutative" in {ax for ax, _ in report.violations}
 
+    def test_report_kept_on_the_table(self, axiom_kernel_calls):
+        # the kernel runs on a table's first verify_axioms only
+        A = chain3_nilpotent()
+        add = [list(r) for r in A.add]
+        add[1][2] = 1
+        B = make_table(3, A.names, add, A.mul)
+        for table in (A, B, A, B):
+            report = verify_axioms(table)
+            assert verify_axioms(table) is report
+        assert axiom_kernel_calls == [A, B]
+        assert verify_axioms(A).valid and not verify_axioms(B).valid
+
     def test_derived_checks_empty_on_valid(self, census_instances):
         for A in census_instances:
             assert oracles.derived_checks(A) == ()

@@ -163,8 +163,12 @@ def test_verify_axioms_matches_oracle_on_mutated_tables(A):
 
 
 def test_verify_axioms_matches_oracle_on_valid_tables():
+    # the kernel runs on a copy, which carries no report; the report A
+    # carries (from birth in the census, from a constructor's check) agrees
     for A in valid_tables():
-        assert verify_axioms(A) == oracles.verify_axioms(A)
+        copy = make_table(A.order, A.names, A.add, A.mul)
+        assert verify_axioms(A) == verify_axioms(copy) == \
+            oracles.verify_axioms(copy)
 
 
 ring_bases = st.one_of(
