@@ -100,9 +100,10 @@ def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
     says why they are valid), so each is born with the valid axiom report
     and verify_axioms never runs the kernel on it."""
     names = _generic_names(n)
-    rows = [tuple(zip(*[iter(key)] * n)) for key in keys]
+    cut = operator.itemgetter(*[slice(i, i + n)
+                                for i in range(0, 2 * n * n, n)])
     reps = [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
-            for r in rows]
+            for r in map(cut, keys)]
     for A in reps:
         object.__setattr__(A, "axioms", VALID)  # frozen: set as dataclasses do
     return reps
@@ -145,7 +146,7 @@ def _join_table(below):
         row = [least.get(ux & uy) for uy in up]
         if None in row:
             return None
-        add.append(row)
+        add.append(bytes(row))
     return add
 
 
@@ -324,13 +325,13 @@ def _later_rows_open(tab, keys, n, x):
 def _least_relabellings(tab, perms):
     """Least serialization of tab over perms, and the perms that reach it.
 
-    tab is a flat table (a table of rows is joined first); perms are
+    tab is a table of bytes rows, or a flat table as its one row; perms are
     _relabelling tuples.  Each costs two C calls on the flat table,
     pick(flat.translate(pmap)); the hits are the perms tying for the least
     pick, in the order of perms, and the key is the first hit's rows.  A
     single perm is its own hit, with no pick to compare.
     """
-    flat = tab if isinstance(tab, bytes) else b"".join(map(bytes, tab))
+    flat = b"".join(tab)
     if len(perms) > 1:
         keys = [pick(flat.translate(pmap)) for _, pick, _, pmap in perms]
         best = min(keys)
@@ -353,7 +354,7 @@ def _fast_census(n: int):
     builds every row as a join-endomorphism (identity, distributivity,
     absorption), takes it from the candidates matching the earlier rows
     (commutativity) and checks its compositions (associativity).  Its flat
-    tables go to the keying as they are.
+    tables go to the keying as they are, each as a one-row table.
     """
     perms = _fixing_perms(n)
     lattices = {}   # lattice key -> (first labelled lattice, its hits)
@@ -364,7 +365,7 @@ def _fast_census(n: int):
     classes = {}    # canonical key -> |Aut|
     for lattice_key, (add, hits) in lattices.items():
         for mul in _mul_backtrack(n, add):
-            mul_key, stabiliser = _least_relabellings(mul, hits)
+            mul_key, stabiliser = _least_relabellings((mul,), hits)
             classes.setdefault(lattice_key + mul_key, len(stabiliser))
     reps = tables_from_canonical(n, sorted(classes))
     labeled = sum(math.factorial(n - 2) // aut for aut in classes.values())

@@ -211,7 +211,7 @@ def cmd_enumerate(args):
         os.makedirs(args.emit_dir, exist_ok=True)
         for A in result.instances:
             # a representative's serialization is its canonical key
-            key = b"".join(map(bytes, A.add + A.mul))
+            key = b"".join(A.add + A.mul)
             name = hashlib.sha256(key).hexdigest()[:16] + ".psr"
             with open(os.path.join(args.emit_dir, name), "w",
                       encoding="utf-8") as fh:

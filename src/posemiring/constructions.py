@@ -220,20 +220,18 @@ def _adjoin_rows(A1: PoSemiringTable, s: int, low_add, low_mul):
     low_add and low_mul are the s x s tables among the new elements, with
     values in the new indices.  A new l lies below every old nonzero y, so
     l + y = y, and l y = l; on the integral A1 the old products stay
-    nonzero, so A1's rows embed shifted.
+    nonzero, so A1's rows embed, translated up by s at its nonzero columns.
     """
     n = _capped(A1.order + s)
     low, old = range(1, s + 1), range(s + 1, n)
-
-    def shifted(row):           # row at A1's nonzero columns, moved up by s
-        return [v + s for v in row[1:]]
-
-    add = ([range(n)]
-           + [[l, *low_add[l - 1], *old] for l in low]
-           + [[x] * (s + 1) + shifted(A1.add[x - s]) for x in old])
-    mul = ([[0] * n]
-           + [[0, *low_mul[l - 1], *[l] * len(old)] for l in low]
-           + [[0, *low, *shifted(A1.mul[x - s])] for x in old])
+    up = bytes(range(s, 256)) + bytes(s)      # v -> v + s
+    add = ([bytes(range(n))]
+           + [bytes([l, *low_add[l - 1], *old]) for l in low]
+           + [bytes([x] * (s + 1)) + A1.add[x - s][1:].translate(up)
+              for x in old])
+    mul = ([bytes(n)]
+           + [bytes([0, *low_mul[l - 1], *[l] * len(old)]) for l in low]
+           + [bytes([0, *low]) + A1.mul[x - s][1:].translate(up) for x in old])
     return add, mul
 
 
@@ -298,8 +296,8 @@ def sub_posemiring(A: PoSemiringTable, members, top: int):
                      if None in pair)
             raise ClosureError((x, ordered[y],
                                 "add" if row_add[y] is None else "mul"))
-        add.append(row_add)
-        mul.append(row_mul)
+        add.append(bytes(row_add))
+        mul.append(bytes(row_mul))
     names = tuple(A.names[x] for x in ordered)
     return PoSemiringTable(len(ordered), names, tuple(add), tuple(mul)), index
 
@@ -449,7 +447,7 @@ def recognize_small_z(A: PoSemiringTable):
 
 
 #: the add and mul rows of trivial(), the {0,1} factor
-_BOOL_ROWS = (((0, 1), (1, 1)), ((0, 0), (0, 1)))
+_BOOL_ROWS = ((b"\0\1", b"\1\1"), (b"\0\0", b"\0\1"))
 
 
 def _peirce_map(T: PoSemiringTable, e: int, f: int, index) -> list[int]:

@@ -2,7 +2,10 @@
 
 An instance is a pair of n x n operation tables over indices 0..n-1 with the
 zero element at index 0 and the identity at index n-1.  The partial order is
-never stored: x <= y holds exactly when add[x][y] == y.
+never stored: x <= y holds exactly when add[x][y] == y.  Every table, of a
+po-semiring or a ring, holds its rows as a tuple of bytes, which read as int
+sequences.  Outside input takes this one format in _check_matrix; the
+constructions build it and the kernels read it as it is.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ class ClosureError(Exception):
 class PoSemiringTable:
     order: int
     names: tuple[str, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    add: tuple[bytes, ...]
+    mul: tuple[bytes, ...]
 
     @property
     def one(self) -> int:
@@ -99,30 +102,32 @@ def make_table(order, names, add, mul) -> PoSemiringTable:
     names = tuple(str(s) for s in names)
     if len(names) != order:
         raise StructureError(f"expected {order} names, got {len(names)}")
-    if len(set(names)) != order or any(not s for s in names):
-        raise StructureError("names must be distinct and non-empty")
-    add = _check_matrix(add, order, "add")
-    mul = _check_matrix(mul, order, "mul")
-    return PoSemiringTable(order=order, names=names, add=add, mul=mul)
+    # s.split() == [s]: non-empty, and no whitespace splits the names line
+    if len(set(names)) != order or any(s.split() != [s] or "#" in s
+                                       for s in names):
+        raise StructureError("names must be distinct, non-empty and free of "
+                             "whitespace and '#'")
+    return PoSemiringTable(order, names, _check_matrix(add, order, "add"),
+                           _check_matrix(mul, order, "mul"))
 
 
 def _check_matrix(rows, order, label):
-    """rows as a tuple of int tuples, once they form an order x order table
-    with entries in [0, order).  The entries are checked as one set; a bad
-    entry is named by the first one in row-major order, found by a scan
-    only once the set check has failed."""
-    rows = tuple(tuple(map(int, row)) for row in rows)
+    """rows as a tuple of bytes, the row format of every table, once they
+    form an order x order table with entries in [0, order).  The entries
+    are checked as one set; a bad entry is named by the first one in
+    row-major order, found by a scan only once the set check has failed."""
+    rows = [list(map(int, row)) for row in rows]
     if len(rows) != order or any(len(r) != order for r in rows):
         raise StructureError(f"{label} table is not {order}x{order}")
     if not set().union(*rows) <= set(range(order)):
         v = next(v for r in rows for v in r if not 0 <= v < order)
         raise StructureError(f"{label} entry {v} out of range [0, {order})")
-    return rows
+    return tuple(map(bytes, rows))
 
 
 def product_rows(ta, tb) -> list[bytes]:
-    """The rows, as bytes, of the componentwise operation on pairs (a, b),
-    at index a*len(tb) + b, from the rows ta and tb of two operation
+    """The bytes rows of the componentwise operation on pairs (a, b), at
+    index a*len(tb) + b, from the bytes rows ta and tb of two operation
     tables whose orders multiply to at most ORDER_CAP.
 
     Row (a, b) joins, for each u in ta's row a, tb's row b shifted by
@@ -131,7 +136,7 @@ def product_rows(ta, tb) -> list[bytes]:
     nb = len(tb)
     pad = bytes(256 - nb)
     shifts = [bytes(range(u * nb, u * nb + nb)) + pad for u in range(len(ta))]
-    shifted = [[row.translate(s) for s in shifts] for row in map(bytes, tb)]
+    shifted = [[row.translate(s) for s in shifts] for row in tb]
     return [b"".join(map(sb.__getitem__, ra)) for ra in ta for sb in shifted]
 
 
@@ -211,13 +216,12 @@ def _axiom_report(A: PoSemiringTable) -> AxiomReport:
 
 
 class ByteTable:
-    """An operation table as byte rows, their concatenation, and row maps."""
+    """An operation table's bytes rows, their concatenation, and row maps."""
 
     __slots__ = ("n", "rows", "flat", "maps")
 
     def __init__(self, op):
-        self.rows = list(map(bytes, op))    # raises on an entry above 255
-        self.n = len(self.rows)
+        self.rows, self.n = op, len(op)
         self.flat = b"".join(self.rows)
         pad = bytes(256 - self.n)
         self.maps = [row + pad for row in self.rows]
@@ -526,7 +530,7 @@ def ideal_family(A) -> tuple[list[tuple[frozenset[int], int]],
     """
     n, add, mul = A.order, A.add, A.mul
     full = bytes(range(n))
-    complements = list(map(full.translate, repeat(None), map(bytes, mul)))
+    complements = list(map(full.translate, repeat(None), mul))
     least = dict(zip(reversed(complements), reversed(range(n))))
     keyed, generator = [], {}       # keyed: (size, members as bytes, ...)
     for outside, x in least.items():
@@ -709,8 +713,8 @@ def carries_tables(A: PoSemiringTable, add, mul):
     first row that differs.
     """
     n = A.order
-    rows = [bytes(a) + bytes(m) for a, m in zip(add, mul)]
-    rows_a = [a + m for a, m in zip(A.add, A.mul)]
+    rows = [a + m for a, m in zip(add, mul)]
+    rows_a = [tuple(a + m) for a, m in zip(A.add, A.mul)]  # as gather gives
     everyone, pad = list(range(n)), bytes(256 - n)
 
     def carries(phi) -> bool:

@@ -50,10 +50,9 @@ def build_zdgraph(mul) -> ZdGraph:
         raise StructureError(f"multiplication not commutative at {swap}")
     if absorb:
         raise StructureError(f"0 does not absorb element {absorb[0]}")
-    rows = t.rows
-    vertices = tuple(x for x in range(1, t.n) if 0 in rows[x][1:])
+    vertices = tuple(x for x in range(1, t.n) if 0 in mul[x][1:])
     masks = tuple(sum(1 << j for j, y in enumerate(vertices)
-                      if y != x and rows[x][y] == 0) for x in vertices)
+                      if y != x and mul[x][y] == 0) for x in vertices)
     return ZdGraph(vertices=vertices, masks=masks)
 
 
@@ -310,7 +309,7 @@ def classify_shape(G: ZdGraph) -> GraphShape:
 
 def export_dot(G: ZdGraph, labels) -> str:
     def quote(x):
-        return '"' + labels[x].replace('"', '\\"') + '"'
+        return '"' + labels[x].replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph zd {"]
     for i in range(G.n):

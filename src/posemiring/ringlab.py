@@ -35,7 +35,8 @@ ZPX_PRIME_CAP = 13
 
 @dataclass(frozen=True)
 class FiniteRing:
-    """A finite commutative ring; add[x] and mul[x] are the bytes rows of x."""
+    """A finite commutative ring; add[x] and mul[x] are the bytes rows of x,
+    the row format core gives every table."""
     order: int
     names: tuple[str, ...]
     add: tuple[bytes, ...]
@@ -194,8 +195,8 @@ def parse_ring_file(text: str) -> FiniteRing:
         raise StructureError("malformed names line")
     if not 0 <= one < order:
         raise StructureError("identity index out of range")
-    R = _make_ring(order, names, map(bytes, _check_matrix(add, order, "add")),
-                   map(bytes, _check_matrix(mul, order, "mul")), one=one)
+    R = _make_ring(order, names, _check_matrix(add, order, "add"),
+                   _check_matrix(mul, order, "mul"), one=one)
     _check_ring(R)
     return R
 
@@ -313,19 +314,17 @@ def ideal_semiring(R: FiniteRing):
     of_size = {}
     for pos, size in enumerate(sizes):
         of_size.setdefault(size, []).append(pos)
-    add = [[0] * k for _ in range(k)]
+    add = []
     for a, (ma, sa) in enumerate(zip(masks, sizes)):
-        add[a][a] = a
+        row = [r[a] for r in add] + [a]     # from the rows above; I + I = I
         for b in range(a + 1, k):   # ideals ascend by size: J is not in I
             mb = masks[b]
             if ma & mb == ma:
-                add[a][b] = add[b][a] = b
+                row.append(b)
                 continue
-            m = ma | mb
-            for c in of_size[sa * sizes[b] // (ma & mb).bit_count()]:
-                if masks[c] & m == m:
-                    add[a][b] = add[b][a] = c
-                    break
+            m, size = ma | mb, sa * sizes[b] // (ma & mb).bit_count()
+            row.append(next(c for c in of_size[size] if masks[c] & m == m))
+        add.append(bytes(row))
 
     principal = [p for p, i in enumerate(ideals) if i.generators]
     gens = bytes(ideals[p].generators[0] for p in principal)
@@ -352,13 +351,12 @@ def ideal_semiring(R: FiniteRing):
 
         half = [[total(times[i][j] for i in parts[a])
                  for j in range(len(principal))] for a in range(k)]
-        times = [[total(row[j] for j in parts[b]) for b in range(k)]
+        times = [bytes([total(row[j] for j in parts[b]) for b in range(k)])
                  for row in half]
     # every entry is a position below k <= IDEAL_COUNT_CAP and the names
     # are distinct, so make_table's checks hold by construction
-    table = PoSemiringTable(order=k, names=tuple(names),
-                            add=tuple(map(tuple, add)),
-                            mul=tuple(map(tuple, times)))
+    table = PoSemiringTable(order=k, names=tuple(names), add=tuple(add),
+                            mul=tuple(times))
     verify_axioms(table).require_valid("I(R)")
     return table, ideals
 

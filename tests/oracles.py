@@ -318,7 +318,7 @@ def join_table(below):
             if not least:
                 return None
             add[x][y] = least[0]
-    return add
+    return list(map(bytes, add))
 
 
 def _fixing_perms(n):
@@ -412,8 +412,9 @@ def burnside_counts(n):
 
 
 def search_tables(n, add):
-    """census._mul_backtrack's flat tables, each read as a tuple of rows."""
-    return [tuple(zip(*[iter(tab)] * n)) for tab in _mul_backtrack(n, add)]
+    """census._mul_backtrack's flat tables, each cut into bytes rows."""
+    return [tuple(tab[x:x + n] for x in range(0, n * n, n))
+            for tab in _mul_backtrack(n, add)]
 
 
 def search_digest(n):
@@ -445,7 +446,7 @@ def meet_table(add):
             lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
             row.append(next(z for z in lower
                             if all(leq[w][z] for w in lower)))
-        meet.append(tuple(row))
+        meet.append(bytes(row))
     return tuple(meet)
 
 
@@ -861,7 +862,7 @@ def mul_backtrack(n, add):
 
     def rec(k):
         if k == len(cells):
-            yield tuple(map(tuple, mul))
+            yield tuple(map(bytes, mul))
             return
         x, y = cells[k]
         for v in down[x]:

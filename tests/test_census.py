@@ -315,7 +315,7 @@ class TestMayMultiply:
                             lambda n, add: searched.append(add)
                             or search(n, add))
         assert enumerate_posemirings(6).count_up_to_iso == 129
-        lattices = [tab for tab in keyed if not isinstance(tab, bytes)]
+        lattices = [tab for tab in keyed if len(tab) > 1]   # not (mul,)
         assert (len(lattices), len(searched)) == (7, 7)
         assert all(map(_may_multiply, lattices + searched))
 
@@ -439,7 +439,7 @@ class TestRelabellingKernel:
         for n in range(2, 7):
             perms = _fixing_perms(n)
             for key, (add, hits) in first_labelled_lattices(n).items():
-                keyed = [list(key[x * n:(x + 1) * n]) for x in range(n)]
+                keyed = [key[x * n:(x + 1) * n] for x in range(n)]
                 aut = _least_relabellings(keyed, perms)[1]
                 for mul in oracles.search_tables(n, add):
                     self.agree(mul, hits)

@@ -161,7 +161,7 @@ class TestTableKernels:
                     P = cons.direct_product(X, Y)
                     want = oracles.product_tables((X.add, X.mul),
                                                   (Y.add, Y.mul))
-                    assert [P.add, P.mul] == [tuple(map(tuple, t))
+                    assert [P.add, P.mul] == [tuple(map(bytes, t))
                                               for t in want]
 
     def test_construction_grid_pinned(self):

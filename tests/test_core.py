@@ -85,8 +85,33 @@ class TestMakeTable:
     def test_entries_become_ints(self):
         A = make_table(2, ("0", "1"), [["0", 1.0], [True, 1]],
                        [[0, 0], [0, "1"]])
-        assert (A.add, A.mul) == (((0, 1), (1, 1)), ((0, 0), (0, 1)))
+        assert (A.add, A.mul) == ((b"\0\1", b"\1\1"), (b"\0\0", b"\0\1"))
         assert all(type(v) is int for row in A.add + A.mul for v in row)
+
+
+@pytest.mark.parametrize("produce", [
+    lambda: make_table(2, ("0", "1"), [[0, 1], [1, 1]], [[0, 0], [0, 1]]),
+    lambda: parse_psr(to_text(cons.example_2_6(2))),
+    lambda: enumerate_posemirings(5).instances[-1],
+    lambda: cons.direct_product(cons.trivial(), cons.chain_lattice(1)),
+    lambda: cons.adjoin_z1(cons.chain_lattice(1)),
+    lambda: cons.adjoin_z2_incomparable(cons.chain_lattice(1)),
+    lambda: cons.adjoin_z2_chain(cons.chain_lattice(1), "u"),
+    lambda: cons.recognize_small_z(cons.adjoin_z1(cons.chain_lattice(2))).a1,
+    lambda: cons.peel_boolean(cons.boolean_power(3)).a1,
+    lambda: ringlab.ideal_semiring(ringlab.make_ring("zn:12"))[0],
+    lambda: ringlab.make_ring("prod(zn:2,zpx:2:1:1)"),
+    lambda: ringlab.parse_ring_file(oracles.ring_to_text(
+        ringlab.make_ring("zn:6"))),
+], ids=["make_table", "parse_psr", "census", "direct_product", "adjoin_z1",
+        "adjoin_z2i", "adjoin_z2c", "small_z_a1", "peel_a1", "ideal_semiring",
+        "make_ring", "parse_ring_file"])
+def test_every_producer_yields_bytes_rows(produce):
+    T = produce()
+    assert type(T.add) is tuple and type(T.mul) is tuple
+    assert len(T.add) == len(T.mul) == T.order
+    assert all(type(row) is bytes and len(row) == T.order
+               for row in T.add + T.mul)
 
 
 class TestVerifyAxioms:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,12 +41,12 @@ class TestBuild:
         assert G.vertices == (1, 2, 3)          # a, b1, b2
 
     def test_rejects_noncommutative_table(self):
-        mul = [[0, 0], [1, 0]]
+        mul = [b"\0\0", b"\1\0"]
         with pytest.raises(StructureError):
             build_zdgraph(mul)
 
     def test_rejects_nonabsorbing_zero(self):
-        mul = [[0, 1], [1, 1]]
+        mul = [b"\0\1", b"\1\1"]
         with pytest.raises(StructureError):
             build_zdgraph(mul)
 
@@ -66,14 +67,15 @@ class TestBuild:
             mul[x][y] = v
             if mirror:
                 mul[y][x] = v
+        rows = tuple(map(bytes, mul))
         try:
             want = oracles.build_zdgraph(mul)
         except StructureError as exc:
             with pytest.raises(StructureError) as got:
-                build_zdgraph(mul)
+                build_zdgraph(rows)
             assert str(got.value) == str(exc)
         else:
-            G = build_zdgraph(mul)
+            G = build_zdgraph(rows)
             assert (G.vertices, oracles.adjacency(G)) == want
 
 
@@ -301,3 +303,12 @@ class TestDot:
         labels = {1: 'v"1', 2: "v2"}
         dot = export_dot(G, labels)
         assert '"v\\"1" -- "v2";' in dot
+
+    def test_backslash_escaped_before_quote(self):
+        # unescaped, the name a\ would end in \", which does not close it
+        G = graph_from_edges(2, [(0, 1)])
+        line = export_dot(G, {1: "a\\", 2: 'b"'}).splitlines()[1]
+        assert line == '  "a\\\\" -- "b\\"";'
+        string = r'"((?:[^"\\]|\\.)*)"'     # each \ pairs with the next char
+        ends = re.fullmatch(f"  {string} -- {string};", line).groups()
+        assert [re.sub(r"\\(.)", r"\1", s) for s in ends] == ["a\\", 'b"']

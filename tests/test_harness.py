@@ -269,6 +269,7 @@ class TestSmallZMapCheck:
                           [[0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 2, 2],
                            [0, 1, 2, 3]])
         add, mul = cons._adjoin_rows(base, 2, *cons._low_incomparable(3))
+        mul = list(map(bytearray, mul))
         mul[1][3] = mul[3][1] = 2
         A = make_table(6, ("0", "c", "u", "p", "q", "1"), add, mul)
         assert sorted(core.zero_divisors(A)) == [1, 2]

@@ -5,7 +5,7 @@ import io
 from functools import cache
 from unittest import mock
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -66,6 +66,22 @@ ring_texts = st.one_of(st.text(max_size=40), tokens(
 @given(tables())
 def test_psr_round_trip(A):
     assert parse_psr(to_text(A)) == A
+
+
+@FAST
+@given(st.lists(st.text(NAME_CHARS + " \t#", min_size=1, max_size=3),
+                min_size=2, max_size=4, unique=True))
+@example(["zero one", "x"])
+@example(["#a", "b"])
+def test_names_round_trip_or_are_rejected(names):
+    # the psr names line is split at whitespace and cut at '#'
+    C = cons.chain_lattice(len(names) - 2)
+    try:
+        A = make_table(C.order, names, C.add, C.mul)
+    except StructureError:
+        assert any(c in " \t#" for s in names for c in s)
+    else:
+        assert parse_psr(to_text(A)) == A
 
 
 @FAST
@@ -193,7 +209,7 @@ def test_check_ring_raises_oracle_message_on_mutated_rings(data):
                   data.draw(mutations(R.order)))
     one = data.draw(st.sampled_from((R.one, 0, R.order - 1)))
     S = ringlab.FiniteRing(order=R.order, names=R.names,
-                           add=tuple(map(tuple, ops["add"])),
-                           mul=tuple(map(tuple, ops["mul"])), one=one)
+                           add=tuple(map(bytes, ops["add"])),
+                           mul=tuple(map(bytes, ops["mul"])), one=one)
     assert ring_check_message(ringlab._check_ring, S) == \
         ring_check_message(oracles.check_ring, S)
