@@ -32,7 +32,12 @@ from .core import (
     verify_axioms,
     zero_divisors,
 )
-from .graphs import ZdGraph, build_zdgraph, classify_shape
+from .graphs import (
+    ZdGraph,
+    build_zdgraph,  # not called here: perfbench/spans.py times it by this name
+    classify_shape,
+    zdgraph_from_rows,
+)
 
 BOOLEAN_POWER_CAP = 6
 
@@ -528,8 +533,18 @@ def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
     return None
 
 
+#: the axioms that let the zero-divisor graph be read off the mul rows
+_GRAPH_AXIOMS = ("mul-commutative", "zero-absorbs")
+
+
 def posemiring_zdgraph(A: PoSemiringTable) -> ZdGraph:
-    return build_zdgraph(A.mul)
+    """The zero-divisor graph of A, built from A.mul once A's axiom report,
+    computed once per table, shows mul commutative and 0 absorbing."""
+    for axiom, witness in A.axioms.violations:
+        if axiom in _GRAPH_AXIOMS:
+            raise StructureError(
+                f"no zero-divisor graph: {axiom} fails at {witness}")
+    return zdgraph_from_rows(A.mul)
 
 
 # ---------------------------------------------------------------------------

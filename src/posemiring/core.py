@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import repeat
-from operator import and_, eq, itemgetter, or_
+from operator import and_, eq, index, itemgetter, or_
 
 
 #: largest table order: psr files, constructions, I(R), sub-instances and
@@ -113,16 +113,37 @@ def make_table(order, names, add, mul) -> PoSemiringTable:
 
 def _check_matrix(rows, order, label):
     """rows as a tuple of bytes, the row format of every table, once they
-    form an order x order table with entries in [0, order).  The entries
-    are checked as one set; a bad entry is named by the first one in
-    row-major order, found by a scan only once the set check has failed."""
-    rows = [list(map(int, row)) for row in rows]
+    form an order x order table of integers in [0, order).  An entry is an
+    integer when operator.index takes it, so a float, a str or None is
+    not.  The entries are converted and range-checked as one set; a bad
+    entry is named by the first one in row-major order, found by a scan
+    only once the whole-table check has failed."""
+    try:
+        rows = [list(map(index, row)) for row in rows]
+    except TypeError:
+        raise StructureError(_bad_entry(rows, order, label)) from None
     if len(rows) != order or any(len(r) != order for r in rows):
         raise StructureError(f"{label} table is not {order}x{order}")
     if not set().union(*rows) <= set(range(order)):
-        v = next(v for r in rows for v in r if not 0 <= v < order)
-        raise StructureError(f"{label} entry {v} out of range [0, {order})")
+        raise StructureError(_bad_entry(rows, order, label))
     return tuple(map(bytes, rows))
+
+
+def _bad_entry(rows, order, label) -> str:
+    """Why rows fail _check_matrix's entry check: the first entry, in
+    row-major order, that is not an integer or lies outside [0, order), or
+    else a table or row that is not iterable."""
+    try:
+        for row in rows:
+            for v in row:
+                try:
+                    if not 0 <= index(v) < order:
+                        return f"{label} entry {v} out of range [0, {order})"
+                except TypeError:
+                    return f"{label} entry {v!r} is not an integer"
+    except TypeError:
+        pass
+    return f"{label} table is not {order}x{order}"
 
 
 def product_rows(ta, tb) -> list[bytes]:
@@ -397,24 +418,38 @@ def analyze_elements(A: PoSemiringTable) -> ElementAnalysis:
     One order_index pass gives every order test: x != 0 is minimal when
     down[x] lies within {0, x}, m != 1 is maximal when up[m] lies within
     {m, 1}, and p != 1 is prime when no product of two elements outside
-    down[p] lands in it.  A nonzero x is a zero divisor when 0 is in
-    mul[x][1:].  The down masks are kept as the analysis's ``down``.
+    down[p] lands in it.  The down masks are kept as the analysis's
+    ``down``.
+
+    One scan of mul rows 1..n-1 gives the rest on a valid table: x is
+    idempotent when x x = x, and a zero divisor when 0 is in mul[x][1:].
+    Only a zero divisor that is not idempotent can be nilpotent, since
+    x^k = 0 with x^(k-1) != 0 puts 0 in row x; nilpotency_index runs on
+    those alone.  An idempotent e is primitive when A.splits[e] holds only
+    (0, e) and (e, 0): a split (e, v) has v <= e, so v = vv <= ve = 0.
     """
-    n, one, mul = A.order, A.one, A.mul
+    n, one, mul, splits = A.order, A.one, A.mul, A.splits
     up, down = order_index(A.add)
-    nilp = {}
+    zd, idem, primitive, nilp = [], [], [], {}
     for x in range(1, n):
-        k = nilpotency_index(A, x)
-        if k is not None:
-            nilp[x] = k
-    idem = frozenset(x for x in range(1, n) if mul[x][x] == x)
+        row = mul[x]
+        divides = row.find(0, 1) >= 0
+        if divides:
+            zd.append(x)
+        if row[x] == x:
+            idem.append(x)
+            if len(splits[x]) == 2:
+                primitive.append(x)
+        elif divides:
+            k = nilpotency_index(A, x)
+            if k is not None:
+                nilp[x] = k
     not_prime = _not_prime(A, up)
     return ElementAnalysis(
-        zero_divisors=zero_divisors(A),
+        zero_divisors=frozenset(zd),
         nilpotency=nilp,
-        idempotents=idem,
-        primitive_idempotents=frozenset(e for e in idem
-                                        if _proper_split(A, e) is None),
+        idempotents=frozenset(idem),
+        primitive_idempotents=frozenset(primitive),
         primes=frozenset(p for p in range(one) if not not_prime >> p & 1),
         maximals=frozenset(m for m in range(one)
                            if not up[m] & ~(1 << m | 1 << one)),

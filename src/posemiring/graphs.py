@@ -50,7 +50,14 @@ def build_zdgraph(mul) -> ZdGraph:
         raise StructureError(f"multiplication not commutative at {swap}")
     if absorb:
         raise StructureError(f"0 does not absorb element {absorb[0]}")
-    vertices = tuple(x for x in range(1, t.n) if 0 in mul[x][1:])
+    return zdgraph_from_rows(mul)
+
+
+def zdgraph_from_rows(mul) -> ZdGraph:
+    """The graph of bytes mul rows known to be commutative with 0 absorbing
+    at index 0, read without checking either: build_zdgraph checks raw
+    rows, posemiring_zdgraph reads a table's axiom report."""
+    vertices = tuple(x for x in range(1, len(mul)) if 0 in mul[x][1:])
     masks = tuple(sum(1 << j for j, y in enumerate(vertices)
                       if y != x and mul[x][y] == 0) for x in vertices)
     return ZdGraph(vertices=vertices, masks=masks)

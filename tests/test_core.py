@@ -73,7 +73,7 @@ class TestMakeTable:
         ([[0, 1], [1, 5]], 5),
         ([[0, 2], [-1, 1]], 2),         # row-major: 2 comes before -1
         ([[0, 1], [-1, 9]], -1),
-        ([[0, 1], [1.0, 256]], 256),
+        ([[0, 1], [True, 256]], 256),   # True is an integer to index()
     ])
     def test_names_first_out_of_range_entry(self, label, rows, bad):
         tables = {"add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]],
@@ -83,10 +83,39 @@ class TestMakeTable:
         assert str(err.value) == f"{label} entry {bad} out of range [0, 2)"
 
     def test_entries_become_ints(self):
-        A = make_table(2, ("0", "1"), [["0", 1.0], [True, 1]],
-                       [[0, 0], [0, "1"]])
+        class Index:        # any integer type: operator.index takes it
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        A = make_table(2, ("0", "1"), [[False, Index(1)], [True, 1]],
+                       [b"\0\0", [0, Index(1)]])
         assert (A.add, A.mul) == ((b"\0\1", b"\1\1"), (b"\0\0", b"\0\1"))
         assert all(type(v) is int for row in A.add + A.mul for v in row)
+
+    @pytest.mark.parametrize("label", ["add", "mul"])
+    @pytest.mark.parametrize("bad", [1.9, "1", None, 1.0])
+    def test_rejects_non_integer_entry(self, label, bad):
+        # a float was truncated, a str parsed and None let TypeError out
+        tables = {"add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]],
+                  label: [[0, 0], [bad, 1]]}
+        with pytest.raises(StructureError) as err:
+            make_table(2, ("0", "1"), tables["add"], tables["mul"])
+        assert str(err.value) == f"{label} entry {bad!r} is not an integer"
+
+    def test_names_first_bad_entry_of_either_kind(self):
+        with pytest.raises(StructureError, match="add entry 2 out of range"):
+            make_table(2, ("0", "1"), [[0, 2], [None, 1]], [[0, 0], [0, 1]])
+        with pytest.raises(StructureError,
+                           match="add entry None is not an integer"):
+            make_table(2, ("0", "1"), [[0, None], [2, 1]], [[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("add", [5, [5, 6], [[0, 1], 7]])
+    def test_rows_that_are_not_sequences(self, add):
+        with pytest.raises(StructureError, match="add table is not 2x2"):
+            make_table(2, ("0", "1"), add, [[0, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("produce", [

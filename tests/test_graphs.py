@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from posemiring import constructions as cons
+from posemiring import graphs as graph_module
 from posemiring import harness, ringlab
-from posemiring.core import StructureError
+from posemiring.core import StructureError, make_table
 from posemiring.graphs import (
     GraphMetrics,
     ZdGraph,
@@ -77,6 +78,29 @@ class TestBuild:
         else:
             G = build_zdgraph(rows)
             assert (G.vertices, oracles.adjacency(G)) == want
+
+
+class TestPosemiringGraph:
+    """posemiring_zdgraph reads the table's axiom report; build_zdgraph
+    checks raw rows."""
+
+    def test_matches_cell_scan_without_row_checks(self, census7_and_grid,
+                                                  monkeypatch):
+        for name in ("ByteTable", "commutative_witness", "row_witness"):
+            monkeypatch.setattr(graph_module, name, None)
+        for A in census7_and_grid:
+            G = cons.posemiring_zdgraph(A)
+            assert (G.vertices, oracles.adjacency(G)) == \
+                oracles.build_zdgraph(A.mul)
+
+    @pytest.mark.parametrize("mul,axiom", [
+        ([[0, 0], [1, 1]], "mul-commutative"),
+        ([[1, 0], [0, 1]], "zero-absorbs"),
+    ])
+    def test_rejects_what_the_report_rejects(self, mul, axiom):
+        A = make_table(2, ("0", "1"), [[0, 1], [1, 1]], mul)
+        with pytest.raises(StructureError, match=axiom):
+            cons.posemiring_zdgraph(A)
 
 
 def printed(G):

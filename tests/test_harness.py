@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 from collections import Counter
@@ -356,6 +357,22 @@ class TestFailureDetection:
         B = make_table(A.order, A.names, A.add, mul)
         res = verdict("L4.1a", harness.Ctx(B))
         assert res.status in ("fail", "not-applicable")
+
+
+class TestP216Independent:
+    """P2.16 decides "the down-set of p is a prime ideal" without the prime
+    kernel it checks: with p toggled in ana.primes alone, it fails at p."""
+
+    def test_toggled_prime_fails_at_p(self):
+        for n in range(2, 7):
+            for A in enumerate_posemirings(n).instances:
+                ana = harness.Ctx(A).ana
+                assert harness.chk_p216(harness.Ctx(A)).status == "pass"
+                for p in A.elements():
+                    ctx = harness.Ctx(A)
+                    ctx.ana = dataclasses.replace(
+                        ana, primes=ana.primes ^ {p})
+                    assert harness.chk_p216(ctx) == harness._fail(p)
 
 
 class TestT29:
