@@ -533,17 +533,10 @@ def split_two_star(A: PoSemiringTable) -> TwoStarSplit | None:
     return None
 
 
-#: the axioms that let the zero-divisor graph be read off the mul rows
-_GRAPH_AXIOMS = ("mul-commutative", "zero-absorbs")
-
-
 def posemiring_zdgraph(A: PoSemiringTable) -> ZdGraph:
     """The zero-divisor graph of A, built from A.mul once A's axiom report,
-    computed once per table, shows mul commutative and 0 absorbing."""
-    for axiom, witness in A.axioms.violations:
-        if axiom in _GRAPH_AXIOMS:
-            raise StructureError(
-                f"no zero-divisor graph: {axiom} fails at {witness}")
+    computed once per table, shows A valid."""
+    A.axioms.require_valid("no zero-divisor graph")
     return zdgraph_from_rows(A.mul)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import and_, eq, index, itemgetter, or_
 
 
@@ -115,35 +115,36 @@ def _check_matrix(rows, order, label):
     """rows as a tuple of bytes, the row format of every table, once they
     form an order x order table of integers in [0, order).  An entry is an
     integer when operator.index takes it, so a float, a str or None is
-    not.  The entries are converted and range-checked as one set; a bad
-    entry is named by the first one in row-major order, found by a scan
-    only once the whole-table check has failed."""
+    not.  The caller's rows are read once, into lists; the entries are
+    then converted and range-checked as one set, and a bad entry is named
+    by the first one in row-major order, found by a scan only once the
+    whole-table check has failed."""
     try:
-        rows = [list(map(index, row)) for row in rows]
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise StructureError(f"{label} table is not {order}x{order}") from None
+    try:
+        ints = [list(map(index, row)) for row in rows]
     except TypeError:
         raise StructureError(_bad_entry(rows, order, label)) from None
-    if len(rows) != order or any(len(r) != order for r in rows):
+    if len(ints) != order or any(len(r) != order for r in ints):
         raise StructureError(f"{label} table is not {order}x{order}")
-    if not set().union(*rows) <= set(range(order)):
-        raise StructureError(_bad_entry(rows, order, label))
-    return tuple(map(bytes, rows))
+    if not set().union(*ints) <= set(range(order)):
+        raise StructureError(_bad_entry(ints, order, label))
+    return tuple(map(bytes, ints))
 
 
 def _bad_entry(rows, order, label) -> str:
-    """Why rows fail _check_matrix's entry check: the first entry, in
-    row-major order, that is not an integer or lies outside [0, order), or
-    else a table or row that is not iterable."""
-    try:
-        for row in rows:
-            for v in row:
-                try:
-                    if not 0 <= index(v) < order:
-                        return f"{label} entry {v} out of range [0, {order})"
-                except TypeError:
-                    return f"{label} entry {v!r} is not an integer"
-    except TypeError:
-        pass
-    return f"{label} table is not {order}x{order}"
+    """Why the lists rows fail _check_matrix's entry check: the first
+    entry, in row-major order, that is not an integer or lies outside
+    [0, order)."""
+    for row in rows:
+        for v in row:
+            try:
+                if not 0 <= index(v) < order:
+                    return f"{label} entry {v} out of range [0, {order})"
+            except TypeError:
+                return f"{label} entry {v!r} is not an integer"
 
 
 def product_rows(ta, tb) -> list[bytes]:
@@ -494,13 +495,26 @@ def _lower_members(A: PoSemiringTable, u: int) -> frozenset[int]:
     return frozenset(x for x in A.elements() if A.leq(x, u))
 
 
-def is_prime_ideal(A: PoSemiringTable, members: frozenset[int]) -> bool:
-    """members is proper and xy in members implies x or y in members."""
-    outside = [x for x in A.elements() if x not in members]
-    if not outside:
-        return False
-    return all(members.isdisjoint(map(A.mul[x].__getitem__, outside))
-               for x in outside)
+#: translation tables: the digits b"0" and b"1" to the bytes 0 and 1, and
+#: the bytes 0 and 1 to each other
+_DIGIT_BYTES = bytes(48) + b"\0\1" + bytes(206)
+_FLIP = b"\1\0" + bytes(254)
+
+
+def is_prime_ideal(A: PoSemiringTable, mask: int) -> bool:
+    """The subset with bit x of mask set for each member x is proper, and
+    xy in it implies x or y in it.
+
+    inside[y] is 1 when y is a member; the mul rows of the elements
+    outside, translated through inside, mark the products that are
+    members, and none may stand in a column outside.
+    """
+    n = A.order
+    inside = f"{mask:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)
+    outside = inside.translate(_FLIP)
+    rows = b"".join(compress(A.mul, outside))
+    return bool(rows) and not any(compress(
+        rows.translate(inside.ljust(256, b"\0")), outside * (len(rows) // n)))
 
 
 def _flag_ideal(A: PoSemiringTable, members: frozenset[int],
@@ -508,7 +522,7 @@ def _flag_ideal(A: PoSemiringTable, members: frozenset[int],
     """Flag an ideal; down is order_index(A.add)[1]."""
     mask = sum(1 << x for x in members)
     hereditary = not any(down[u] & ~mask for u in members)
-    prime = is_prime_ideal(A, members)
+    prime = is_prime_ideal(A, mask)
     princ_ann = any(_annihilator_members(A, u) == members for u in A.elements())
     lower_gen = next((u for u in sorted(members) if down[u] == mask), None)
     return IdealSubset(members=members, hereditary=hereditary, prime=prime,

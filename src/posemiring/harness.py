@@ -25,6 +25,7 @@ from .core import (
     find_isomorphism,
     is_idempotent,
     is_minimal_element,
+    is_prime_ideal,
     orthogonal_complement,
     primitive_decomposition,
     verify_axioms,
@@ -227,33 +228,13 @@ def chk_p213(ctx):
     return _pass()
 
 
-#: translation tables: the digits b"0" and b"1" to the bytes 0 and 1, and
-#: the bytes 0 and 1 to each other
-_DIGIT_BYTES = bytes(48) + b"\0\1" + bytes(206)
-_FLIP = b"\1\0" + bytes(254)
-
-
 def chk_p216(ctx):
-    """p is prime exactly when its down-set is a prime ideal: proper, and
-    no product of two elements outside it lies in it.
-
-    The ideal side reads ana.down and the mul rows, never ana.primes or
-    core._not_prime, which computes it.  inside[y] is 1 when y <= p; the
-    mul rows of the elements outside, translated through inside, mark the
-    products that lie in the down-set, and none may stand in a column
-    outside it.
-    """
+    """p is prime exactly when its down-set is a prime ideal.  The ideal
+    side reads ana.down, never ana.primes or core._not_prime, which
+    computes it."""
     A, ana = ctx.A, ctx.ana
-    mul, n = A.mul, A.order
-    pad = bytes(256 - n)
     for p, below in enumerate(ana.down):
-        inside = f"{below:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)
-        outside = inside.translate(_FLIP)
-        rows = b"".join(itertools.compress(mul, outside))
-        hits = int.from_bytes(rows.translate(inside + pad), "big")
-        prime_ideal = bool(rows) and not hits & int.from_bytes(
-            outside * (len(rows) // n), "big")
-        if (p in ana.primes) != prime_ideal:
+        if (p in ana.primes) != is_prime_ideal(A, below):
             return _fail(p)
     return _pass()
 

@@ -51,7 +51,6 @@ from posemiring.core import (
     StructureError,
     find_isomorphism,
     is_idempotent,
-    is_prime_ideal,
     make_table,
     write_table_text,
 )
@@ -1229,12 +1228,14 @@ def analyze_elements(A):
 
 def flag_ideal(A, members):
     """core._flag_ideal comparing members with every down-set and
-    annihilator collected as a set."""
+    annihilator collected as a set, and primality as a pair scan."""
     return IdealSubset(
         members=members,
         hereditary=all(x in members for u in members
                        for x in A.elements() if A.leq(x, u)),
-        prime=is_prime_ideal(A, members),
+        prime=members != frozenset(A.elements()) and not any(
+            A.mul[x][y] in members for x in A.elements() for y in A.elements()
+            if x not in members and y not in members),
         principal_annihilating=any(annihilator_members(A, u) == members
                                    for u in A.elements()),
         lower_principal=next((u for u in sorted(members)

@@ -111,6 +111,11 @@ class TestMakeTable:
         with pytest.raises(StructureError,
                            match="add entry None is not an integer"):
             make_table(2, ("0", "1"), [[0, None], [2, 1]], [[0, 0], [0, 1]])
+        # rows given as iterators are read once
+        with pytest.raises(StructureError,
+                           match="add entry None is not an integer"):
+            make_table(2, ("0", "1"), iter([[0, 1], iter([None, 2])]),
+                       [[0, 0], [0, 1]])
 
     @pytest.mark.parametrize("add", [5, [5, 6], [[0, 1], 7]])
     def test_rows_that_are_not_sequences(self, add):
