@@ -9,10 +9,13 @@ skipped before it is keyed.  On each kept class it searches the
 multiplication tables row by row on flat byte rows: every row is a
 join-endomorphism of the lattice below the identity, the labels are a
 linear extension, so commutativity picks a row's candidates by the slice of
-its column over the rows placed before it, associativity is checked as
-composition of rows, and forward checking drops a partial table as soon as
-a later row has no candidate left.  Each flat table is keyed over those
-permutations.
+its column over the rows placed before it.  Associativity of rows x <= y,
+y(xz) = (yx)z, reads only rows 0..x (xz <= x, yx <= x, and column y at
+those rows is fixed by commutativity), so it is checked forward as soon as
+row x is placed, together with forward checking, which drops a partial
+table as soon as a later row has no candidate left; the g(u, v, w) argument
+in _mul_backtrack shows that these pairs give every triple.  Each flat
+table is keyed over those permutations.
 """
 
 from __future__ import annotations
@@ -98,14 +101,23 @@ def tables_from_canonical(n: int, keys) -> list[PoSemiringTable]:
     """The representatives with these canonical keys, built without
     re-checks: the census makes its keys from valid tables (_fast_census
     says why they are valid), so each is born with the valid axiom report
-    and verify_axioms never runs the kernel on it."""
+    and verify_axioms never runs the kernel on it.  Each distinct add half
+    is cut once, and the tables on one lattice share its rows."""
     names = _generic_names(n)
-    cut = operator.itemgetter(*[slice(i, i + n)
-                                for i in range(0, 2 * n * n, n)])
-    reps = [PoSemiringTable(order=n, names=names, add=r[:n], mul=r[n:])
-            for r in map(cut, keys)]
-    for A in reps:
+    size = n * n
+    cut_add, cut_mul = (
+        operator.itemgetter(*[slice(i, i + n) for i in range(start, end, n)])
+        for start, end in ((0, size), (size, 2 * size)))
+    adds = {}
+    reps = []
+    for key in keys:
+        lattice = key[:size]
+        add = adds.get(lattice)
+        if add is None:
+            add = adds[lattice] = cut_add(lattice)
+        A = PoSemiringTable(order=n, names=names, add=add, mul=cut_mul(key))
         object.__setattr__(A, "axioms", VALID)  # frozen: set as dataclasses do
+        reps.append(A)
     return reps
 
 
@@ -194,8 +206,9 @@ def _may_multiply(add):
     return True
 
 
-def _join_endomorphisms(add):
-    """Every join-endomorphism f of the lattice with f(y) <= y, as bytes.
+def _join_endomorphisms(add, index=None):
+    """Every join-endomorphism f of the lattice with f(y) <= y, as bytes;
+    index, when given, is order_index(add).
 
     The maps grow together, one element at a time, in a linear extension of
     the lattice (by down-set size; the labels need not be one).  A
@@ -207,7 +220,7 @@ def _join_endomorphisms(add):
     below it by monotonicity.
     """
     n = len(add)
-    up, down = order_index(add)
+    up, down = index or order_index(add)
     members = [[z for z in range(n) if mask >> z & 1] for mask in down]
     covers = lower_covers(up, down)
     found = [[0] * n]
@@ -236,7 +249,10 @@ def _join_endomorphisms(add):
             v = 0
             for z in lower:
                 v = add[v][f[z]]
-            if all(add[f[a]][f[b]] == v for a, b in pairs):
+            for a, b in pairs:          # a loop is faster than all() here
+                if add[f[a]][f[b]] != v:
+                    break
+            else:
                 f[y] = v
                 kept.append(f)
         found = kept
@@ -253,73 +269,83 @@ def _mul_backtrack(n: int, add):
     labels must be a linear extension of the lattice, as every join table
     from _bounded_semilattices is (DomainError otherwise), so xb < x puts
     row xb before row x, and the values of row x at the rows before it are
-    fixed by commutativity: its key f[1:x] is the strided slice of column
-    x over rows 1..x-1 of the table placed so far.
-    Associativity is one composition per earlier row: mul_x . mul_b ==
-    mul_{xb}, that is x(by) = (xb)y for all y, for every b < x and for
-    b = x, checked with bytes.translate on rows padded to 256 bytes.  This
-    suffices: write g(u, v, w) = u(vw), symmetric in v and w by
-    commutativity.  The check gives u(vw) = (uv)w = w(uv), so
-    g(u, v, w) = g(w, u, v) whenever u >= v (u or v equal to 0 or to the
-    identity passes trivially).  Putting the larger of q, r second, every
-    g(p, q, r) equals g(max(q, r), min(q, r), p); so for a <= b <= c,
-    g(a, b, c) = g(c, b, a) and g(b, a, c) = g(c, a, b) = g(c, b, a).  With
-    the symmetry in the last two places, g takes one value on all six
-    orders of a triple, and a(bc) = g(a, b, c) = g(c, a, b) = c(ab) = (ab)c.
-    Forward checking: once row x is placed, every row y >= x+2 must still
-    have a candidate whose key starts with column y over rows 1..x, found
-    by bisect in its sorted keys (row x+1 is looked up next anyway).
+    fixed by commutativity: its key f[1:x] is column x over rows 1..x-1,
+    and the search keeps each column, over the rows placed so far, as a
+    bytearray.
+
+    Associativity is mul_y . mul_x == mul_{yx}, that is y(xz) = (yx)z for
+    all z, checked for every pair x <= y of interior rows.  Once row x is
+    placed, both sides read only placed cells: xz <= x, so y(xz) is column
+    y at row xz, fixed by commutativity from row xz; and yx <= x, so row yx
+    is placed.  So each pair x < y is checked forward, when row x is
+    placed and before any candidate for row y is tried, by one
+    bytes.translate of row x through column y; and the pair x = x when row
+    x is placed, by the candidate's square f.f, computed once with its
+    bucket, against row xx (a candidate with f(x) = x and f.f != f is
+    dropped there).  A complete table has thus passed the check on every
+    pair (x, b) with b <= x, and that suffices: write g(u, v, w) = u(vw),
+    symmetric in v and w by commutativity.  The check gives
+    u(vw) = (uv)w = w(uv), so g(u, v, w) = g(w, u, v) whenever u >= v (u or
+    v equal to 0 or to the identity passes trivially).  Putting the larger
+    of q, r second, every g(p, q, r) equals g(max(q, r), min(q, r), p); so
+    for a <= b <= c, g(a, b, c) = g(c, b, a) and
+    g(b, a, c) = g(c, a, b) = g(c, b, a).  With the symmetry in the last
+    two places, g takes one value on all six orders of a triple, and
+    a(bc) = g(a, b, c) = g(c, a, b) = c(ab) = (ab)c.
+
+    In the same loop over the later rows, forward checking: every row
+    y >= x+2 must still have a candidate whose key starts with column y
+    over rows 1..x, found by bisect in its sorted keys (row x+1 is looked
+    up next anyway).
     """
     one = n - 1
-    if any(add[x][y] == y for y in range(n) for x in range(y + 1, n)):
+    index = order_index(add)
+    if any(mask & ((1 << x) - 1) for x, mask in enumerate(index[0])):
         raise DomainError("join table labels are not a linear extension")
-    tab = bytearray(n * n)
-    tab[one * n:] = range(n)
+    rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
     if n == 2:
-        yield bytes(tab)
+        yield b"".join(rows)
         return
     pad = bytes(256 - n)
     buckets = [{} for _ in range(n)]
-    for f in _join_endomorphisms(add):
+    for f in _join_endomorphisms(add, index):
         x = f[one]
         if 0 < x < one:
-            buckets[x].setdefault(f[1:x], []).append((f, f + pad))
+            sq = f.translate(f + pad)
+            if f[x] != x or sq == f:
+                buckets[x].setdefault(f[1:x], []).append((f, sq))
     keys = [sorted(bucket) for bucket in buckets]
-    rows = [bytes(n)] + [None] * (n - 2) + [bytes(range(n))]
+    # columns[y][w] = wy for the rows w placed so far, 256 bytes for
+    # bytes.translate; entries past the last placed row are never read
+    columns = [bytearray(256) for _ in range(n)]
     # stack[x - 1] iterates over the candidates left for row x
     stack = [iter(buckets[1].get(b"", ()))]
     while stack:
         x = len(stack)
-        for f, fmap in stack[-1]:
+        for f, sq in stack[-1]:
             rows[x] = f
-            if f.translate(fmap) != rows[f[x]]:
+            if sq != rows[f[x]]:
                 continue
-            for b in range(1, x):       # a loop is faster than all() here
-                if rows[b].translate(fmap) != rows[f[b]]:
+            if x + 1 == one:
+                yield b"".join(rows)
+                continue
+            for y in range(x + 1, one):
+                column = columns[y]
+                column[x] = f[y]
+                if f.translate(column) != rows[f[y]]:
                     break
+                if y > x + 1:
+                    prefix = column[1:x + 1]
+                    ky = keys[y]
+                    i = bisect_left(ky, prefix)
+                    if i == len(ky) or not ky[i].startswith(prefix):
+                        break
             else:
-                tab[x * n:x * n + n] = f
-                if x + 1 == one:
-                    yield bytes(tab)
-                elif _later_rows_open(tab, keys, n, x):
-                    stack.append(iter(buckets[x + 1].get(
-                        bytes(tab[n + x + 1:x * n + n:n]), ())))
-                    break
+                stack.append(iter(buckets[x + 1].get(
+                    bytes(columns[x + 1][1:x + 1]), ())))
+                break
         else:
             stack.pop()
-
-
-def _later_rows_open(tab, keys, n, x):
-    """Whether every row y >= x+2 still has a candidate: a key in keys[y]
-    (sorted) starting with column y over rows 1..x of tab."""
-    end = x * n + n
-    for y in range(x + 2, n - 1):
-        prefix = tab[n + y:end:n]
-        ky = keys[y]
-        i = bisect_left(ky, prefix)
-        if i == len(ky) or not ky[i].startswith(prefix):
-            return False
-    return True
 
 
 def _least_relabellings(tab, perms):
@@ -354,7 +380,9 @@ def _fast_census(n: int):
     builds every row as a join-endomorphism (identity, distributivity,
     absorption), takes it from the candidates matching the earlier rows
     (commutativity) and checks its compositions (associativity).  Its flat
-    tables go to the keying as they are, each as a one-row table.
+    tables go to the keying as they are, each as a one-row table.  When
+    Aut(L) = 1 the one hit keys every table by its rows, and every table on
+    L is a class of its own with |Aut(A)| = 1.
     """
     perms = _fixing_perms(n)
     lattices = {}   # lattice key -> (first labelled lattice, its hits)
@@ -364,6 +392,11 @@ def _fast_census(n: int):
             lattices.setdefault(key, (add, hits))
     classes = {}    # canonical key -> |Aut|
     for lattice_key, (add, hits) in lattices.items():
+        if len(hits) == 1:
+            _, _, rows, pmap = hits[0]
+            for mul in _mul_backtrack(n, add):
+                classes[lattice_key + bytes(rows(mul.translate(pmap)))] = 1
+            continue
         for mul in _mul_backtrack(n, add):
             mul_key, stabiliser = _least_relabellings((mul,), hits)
             classes.setdefault(lattice_key + mul_key, len(stabiliser))

@@ -27,7 +27,12 @@ from .core import (
     split_top_level,
     verify_axioms,
 )
-from .graphs import GraphShape, build_zdgraph, classify_shape
+from .graphs import (
+    GraphShape,
+    build_zdgraph,
+    classify_shape,
+    zdgraph_from_rows,
+)
 
 IDEAL_COUNT_CAP = 64
 ZPX_PRIME_CAP = 13
@@ -362,9 +367,11 @@ def ideal_semiring(R: FiniteRing):
 
 
 def annihilating_ideal_graph(R: FiniteRing) -> tuple[GraphShape, PoSemiringTable]:
-    """The shape of AG(R) (its graph is shape.graph) and I(R)."""
+    """The shape of AG(R) (its graph is shape.graph) and I(R).  AG(R) is
+    Gamma(I(R)), read from the rows unchecked: ideal_semiring has required
+    the table valid."""
     table, _ = ideal_semiring(R)
-    return classify_shape(build_zdgraph(table.mul)), table
+    return classify_shape(zdgraph_from_rows(table.mul)), table
 
 
 def ring_zdgraph(R: FiniteRing) -> GraphShape:

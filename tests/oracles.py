@@ -423,14 +423,40 @@ def search_digest(n):
     as its n*n add bytes and then its n*n mul bytes, the sorted list hashed
     concatenated.  Duplicates are kept, so a table found twice, which the
     census keys would merge, changes the digest."""
+    tables = sorted(bytes(v for row in add for v in row) + mul
+                    for add in first_lattices(n)
+                    for mul in _mul_backtrack(n, add))
+    return len(tables), hashlib.sha256(b"".join(tables)).hexdigest()
+
+
+def first_lattices(n):
+    """The first labelled lattice of each order-n class that
+    census._bounded_semilattices yields."""
     perms = census._fixing_perms(n)
     first = {}
     for add in census._bounded_semilattices(n):
         first.setdefault(census._least_relabellings(add, perms)[0], add)
-    tables = sorted(bytes(v for row in add for v in row) + mul
-                    for add in first.values()
-                    for mul in _mul_backtrack(n, add))
-    return len(tables), hashlib.sha256(b"".join(tables)).hexdigest()
+    return list(first.values())
+
+
+def chain_join_table(n):
+    """The join table of the chain 0 < 1 < ... < n-1, rows as bytes."""
+    return [bytes(max(x, y) for y in range(n)) for x in range(n)]
+
+
+def chain_search_count(n):
+    """The number of tables census._mul_backtrack yields on the order-n
+    chain."""
+    return sum(1 for _ in _mul_backtrack(n, chain_join_table(n)))
+
+
+def empty_searches(n):
+    """The number of order-n lattice classes kept by census._may_multiply
+    on which census._mul_backtrack finds no table, each searched on its
+    first labelled lattice, as the census does."""
+    return sum(census._may_multiply(add)
+               and next(_mul_backtrack(n, add), None) is None
+               for add in first_lattices(n))
 
 
 def meet_table(add):

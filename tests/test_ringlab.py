@@ -17,6 +17,7 @@ from posemiring.core import (
     principal_ideal,
     verify_axioms,
 )
+from posemiring.graphs import build_zdgraph
 
 
 def brute_force_ring_ideals(R):
@@ -269,6 +270,21 @@ class TestGraphs:
         R = ringlab.make_ring(spec)
         shape, _ = ringlab.annihilating_ideal_graph(R)
         assert (shape.tag, shape.params) == expected
+
+    def test_annihilating_ideal_graph_reads_the_verified_rows(
+            self, monkeypatch):
+        # AG(R) = Gamma(I(R)) on every rings:default spec, built without
+        # build_zdgraph's raw-row checks: ideal_semiring verified I(R)
+        corpus = harness.default_ring_corpus()
+        want = [build_zdgraph(ringlab.ideal_semiring(R)[0].mul)
+                for _, R in corpus]
+
+        def refused(mul):
+            raise AssertionError("build_zdgraph called")
+
+        monkeypatch.setattr(ringlab, "build_zdgraph", refused)
+        assert [ringlab.annihilating_ideal_graph(R)[0].graph
+                for _, R in corpus] == want
 
     def test_zero_divisor_graph_z2xz4(self):
         R = ringlab.make_ring("prod(zn:2,zn:4)")
